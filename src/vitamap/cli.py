@@ -1,13 +1,21 @@
-"""Command line front end: parse, resolve, validate, compute, emit.
+"""Command line front end: parse, validate, resolve and order, emit.
+
+Each run reads its input once and parses it once; the parser records
+every event's ``[event]`` header line, which validation diagnostics
+point at. Validation findings are reported, the gazetteer is loaded,
+and one formatter from :mod:`vitamap.emit` or :mod:`vitamap.geo`
+renders the result from the single order-and-resolve stage,
+:func:`vitamap.geo.itinerary_stops`.
 
 Exit codes follow one discipline across all subcommands: 0 success,
 1 domain failure (validation or place resolution), 2 usage or I/O
-error. Diagnostics go to stderr, one per line, as
-``LEVEL file:line message``; stdout carries only payload so output can
-be piped. Runs are deterministic: no timestamps, no locale-dependent
-formatting, and no network access unless geocode is given an explicit
-endpoint. File outputs are written to a temporary file and renamed into
-place so a failure never leaves a truncated document behind.
+error, an input or gazetteer that is not UTF-8 included. Diagnostics
+go to stderr, one per line, as ``LEVEL file:line message``; stdout
+carries only payload so output can be piped. Runs are deterministic:
+no timestamps, no locale-dependent formatting, and no network access
+unless geocode is given an explicit endpoint. File outputs are written
+to a temporary file and renamed into place so a failure never leaves a
+truncated document behind.
 
 The gazetteer is found in precedence order: ``--gazetteer`` flag, then
 the ``VITA_GAZETTEER`` environment variable, then the ``gazetteer``
@@ -43,8 +51,6 @@ from .vita import VitaParseError, parse_biography
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-_ASCII_WS = " \t\r\f\v"
 
 
 class _CliFailure(Exception):
@@ -141,49 +147,42 @@ def main(argv: list[str] | None = None) -> int:
 
 def _read_text(path: Path, what: str) -> str:
     try:
-        # utf-8-sig tolerates a leading BOM from Windows editors.
-        return path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes()
     except OSError as exc:
         raise _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {exc.strerror or exc}")
-
-
-def _parse_input(path: Path) -> tuple[Biography, str]:
-    source = _read_text(path, "input")
+    # Universal newlines, as in text-mode reading: CRLF and a lone CR end a line.
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        return parse_biography(source), source
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _CliFailure(
+            EXIT_USAGE, f"error {path}:{line} {what} is not valid UTF-8 ({exc.reason})"
+        )
+    # Tolerate a leading BOM from Windows editors.
+    return text.removeprefix("\ufeff")
+
+
+def _parse_input(path: Path) -> Biography:
+    try:
+        return parse_biography(_read_text(path, "input"))
     except VitaParseError as exc:
         for d in exc.diagnostics:
             print(f"error {path}:{d.line} {d.message}", file=sys.stderr)
         raise _CliFailure(EXIT_DOMAIN)
 
 
-def _event_header_lines(source: str) -> list[int]:
-    """Line numbers of the [event] headers, in authoring order."""
-    headers = []
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-        cut = line.find("#")
-        content = (line if cut < 0 else line[:cut]).strip(_ASCII_WS)
-        if content == "[event]":
-            headers.append(lineno)
-    return headers
-
-
-def _report_validation(
-    biography: Biography, source: str, path: Path, strict: bool
-) -> None:
+def _report_validation(biography: Biography, path: Path, strict: bool) -> None:
     diagnostics = validate_biography(biography, base_dir=path.parent)
     if not diagnostics:
         return
-    headers = _event_header_lines(source)
-    first_index: dict[str, int] = {}
-    for index, event in enumerate(biography.events):
-        first_index.setdefault(event.id, index)
+    # A diagnostic points at the header of the first event with its id.
+    header_line: dict[str, int | None] = {}
+    for event in biography.events:
+        header_line.setdefault(event.id, event.line)
     failed = False
     for d in diagnostics:
-        index = first_index.get(d.event_id, 0)
-        line = headers[index] if index < len(headers) else 1
-        print(f"{d.severity} {path}:{line} {d.message}", file=sys.stderr)
+        print(f"{d.severity} {path}:{header_line[d.event_id]} {d.message}", file=sys.stderr)
         failed = failed or d.severity == "error" or (strict and d.severity == "warning")
     if failed:
         raise _CliFailure(EXIT_DOMAIN)
@@ -234,8 +233,8 @@ def _write_output(text: str, output: str | None) -> None:
 
 def _prepare(args: argparse.Namespace) -> tuple[Biography, dict[str, GazetteerEntry], Path]:
     input_path = Path(args.input)
-    biography, source = _parse_input(input_path)
-    _report_validation(biography, source, input_path, args.strict)
+    biography = _parse_input(input_path)
+    _report_validation(biography, input_path, args.strict)
     return biography, _load_gazetteer_for(args, biography, input_path), input_path
 
 
@@ -245,8 +244,8 @@ def _prepare(args: argparse.Namespace) -> tuple[Biography, dict[str, GazetteerEn
 
 def cmd_validate(args: argparse.Namespace) -> int:
     input_path = Path(args.input)
-    biography, source = _parse_input(input_path)
-    _report_validation(biography, source, input_path, args.strict)
+    biography = _parse_input(input_path)
+    _report_validation(biography, input_path, args.strict)
     return EXIT_OK
 
 

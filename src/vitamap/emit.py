@@ -2,6 +2,12 @@
 timeline color buckets, GeoJSON FeatureCollections, and itinerarium
 tables in aligned text or CSV.
 
+Every output here, the distance matrix included, is formatted from
+one stage, :func:`vitamap.geo.itinerary_stops`: the events in itinerary
+order, each paired with its resolved point. The emitters neither sort
+nor resolve; the KML timeline buckets take their bounds t0 and t1 from
+the first and last stop's start day, once per document.
+
 All three emitters are pure text producers: identical inputs give
 byte-identical output. Coordinates are written with 6 decimal places
 (about 0.11 m, beyond source accuracy, and diff-stable) and distances
@@ -16,10 +22,11 @@ import json
 import re
 from dataclasses import dataclass
 
-from .gazetteer import GazetteerEntry, normalize_key, resolve
-from .geo import build_itinerary, haversine_km, itinerary_order
+from .gazetteer import GazetteerEntry, normalize_key
+from .geo import haversine_km, itinerary_stops, place_identity
 from .model import (
     Biography,
+    GeoPoint,
     InvalidBiographyError,
     ItineraryLeg,
     LifeEvent,
@@ -68,10 +75,13 @@ def timeline_bucket(event: LifeEvent, biography: Biography, bucket_count: int) -
     if bucket_count < 1:
         raise ValueError("bucket_count must be at least 1")
     starts = [to_day_number(e.when.start) for e in biography.events]
-    t0, t1 = min(starts), max(starts)
+    return _bucket(to_day_number(event.when.start), min(starts), max(starts), bucket_count)
+
+
+def _bucket(start: int, t0: int, t1: int, bucket_count: int) -> int:
     if t1 == t0:
         return 0
-    return bucket_count * (to_day_number(event.when.start) - t0) // (t1 - t0 + 1)
+    return bucket_count * (start - t0) // (t1 - t0 + 1)
 
 
 def _check_valid(biography: Biography) -> None:
@@ -117,9 +127,13 @@ def emit_kml(
     """
     config = config or EmitConfig()
     _check_valid(biography)
-    placemarks = [
-        (event, resolve(event, gazetteer), timeline_bucket(event, biography, config.bucket_count))
-        for event in itinerary_order(biography)
+    stops = itinerary_stops(biography, gazetteer)
+    # Itinerary order sorts by start day: the first and last stops bound the starts.
+    t0 = to_day_number(stops[0][0].when.start)
+    t1 = to_day_number(stops[-1][0].when.start)
+    buckets = [
+        _bucket(to_day_number(event.when.start), t0, t1, config.bucket_count)
+        for event, _ in stops
     ]
 
     out = [
@@ -128,7 +142,7 @@ def emit_kml(
         "  <Document>",
         f"    <name>{_xml_escape(biography.title)}</name>",
     ]
-    for bucket in sorted({bucket for _, _, bucket in placemarks}):
+    for bucket in sorted(set(buckets)):
         out += [
             f'    <Style id="era-{bucket}">',
             "      <IconStyle>",
@@ -136,7 +150,7 @@ def emit_kml(
             "      </IconStyle>",
             "    </Style>",
         ]
-    for event, point, bucket in placemarks:
+    for (event, point), bucket in zip(stops, buckets):
         description = _description(event, config.include_attachments)
         out += [
             "    <Placemark>",
@@ -165,8 +179,7 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
     """
     _check_valid(biography)
     features = []
-    for event in itinerary_order(biography):
-        point = resolve(event, gazetteer)
+    for event, point in itinerary_stops(biography, gazetteer):
         properties = ", ".join(
             (
                 f'"id": {json.dumps(event.id)}',
@@ -267,23 +280,16 @@ def distance_matrix(
     "lat,lon". The diagonal is 0.000 and the matrix is exactly
     symmetric because both cells come from the same computation.
     """
-    by_id = {event.id: event for event in biography.events}
     labels: list[str] = []
-    points: list = []
-    seen: set[tuple] = set()
-    for leg in build_itinerary(biography, gazetteer):
-        event = by_id[leg.event_id]
-        if event.place_key is not None:
-            identity = ("key", normalize_key(event.place_key))
-            label = identity[1]
-        else:
-            identity = ("point", (leg.point.lat, leg.point.lon))
-            label = f"{leg.point.lat:.6f},{leg.point.lon:.6f}"
+    points: list[GeoPoint] = []
+    seen: set[str | tuple[float, float]] = set()
+    for event, point in itinerary_stops(biography, gazetteer):
+        identity = place_identity(event, point)
         if identity in seen:
             continue
         seen.add(identity)
-        labels.append(label)
-        points.append(leg.point)
+        labels.append(identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}")
+        points.append(point)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -69,6 +69,26 @@ def itinerary_order(biography: Biography) -> list[LifeEvent]:
     )
 
 
+def itinerary_stops(
+    biography: Biography, gazetteer: dict[str, GazetteerEntry]
+) -> list[tuple[LifeEvent, GeoPoint]]:
+    """Every event in itinerary order, paired with its resolved point.
+
+    This is the one order-and-resolve stage; itineraries, emitters and
+    the distance matrix only format its result. UnknownPlace propagates
+    with the offending event id attached.
+    """
+    return [(event, resolve(event, gazetteer)) for event in itinerary_order(biography)]
+
+
+def place_identity(event: LifeEvent, point: GeoPoint) -> str | tuple[float, float]:
+    """What makes two stops the same place: the normalized key of a
+    keyed place, else the exact (lat, lon) of an inline-only point."""
+    if event.place_key is not None:
+        return normalize_key(event.place_key)
+    return (point.lat, point.lon)
+
+
 def build_itinerary(
     biography: Biography, gazetteer: dict[str, GazetteerEntry]
 ) -> list[ItineraryLeg]:
@@ -81,8 +101,7 @@ def build_itinerary(
     legs: list[ItineraryLeg] = []
     previous: GeoPoint | None = None
     cum_km = 0.0
-    for index, event in enumerate(itinerary_order(biography)):
-        point = resolve(event, gazetteer)
+    for index, (event, point) in enumerate(itinerary_stops(biography, gazetteer)):
         leg_km = 0.0 if previous is None else haversine_km(previous, point)
         cum_km += leg_km
         legs.append(
@@ -126,20 +145,12 @@ class RouteStats:
 def route_stats(legs: list[ItineraryLeg], biography: Biography) -> RouteStats:
     """Summarize an itinerary built from the given biography.
 
-    Distinct places are counted by normalized gazetteer key; events
-    located only by an inline point count by their exact coordinate
-    pair.
+    Distinct places are counted by :func:`place_identity`.
     """
     by_id = {event.id: event for event in biography.events}
-    identities: set[tuple] = set()
-    for leg in legs:
-        event = by_id[leg.event_id]
-        if event.place_key is not None:
-            identities.add(("key", normalize_key(event.place_key)))
-        else:
-            identities.add(("point", (leg.point.lat, leg.point.lon)))
-    first_start = min((e.when.start for e in biography.events), key=to_day_number)
-    last_end = max((e.when.end for e in biography.events), key=to_day_number)
+    identities = {place_identity(by_id[leg.event_id], leg.point) for leg in legs}
+    first_start = min(e.when.start for e in biography.events)
+    last_end = max(e.when.end for e in biography.events)
     return RouteStats(
         event_count=len(legs),
         distinct_place_count=len(identities),

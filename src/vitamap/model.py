@@ -9,9 +9,11 @@ positive numbers.
 
 from __future__ import annotations
 
+import calendar
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9-]*\Z")
@@ -60,28 +62,15 @@ class GeoPoint:
 # ---------------------------------------------------------------------------
 # Calendar
 
-_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-_DAYS_BEFORE_MONTH = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
-
-
 def is_leap_year(year: int) -> bool:
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return calendar.isleap(year)
 
 
 def days_in_month(year: int, month: int) -> int:
-    if month == 2 and is_leap_year(year):
-        return 29
-    return _DAYS_IN_MONTH[month - 1]
+    return calendar.monthrange(year, month)[1]
 
 
-def _days_before_year(year: int) -> int:
-    # Days from 0001-01-01 to year-01-01.
-    y = year - 1
-    return y * 365 + y // 4 - y // 100 + y // 400
-
-
-_EPOCH_OFFSET = _days_before_year(1600)
-_MAX_DAY_NUMBER = _days_before_year(10000) - _EPOCH_OFFSET - 1
+_EPOCH_ORDINAL = date(1600, 1, 1).toordinal()
 
 
 @dataclass(frozen=True, order=True)
@@ -110,30 +99,18 @@ class CalendarDate:
 
 def to_day_number(d: CalendarDate) -> int:
     """Day count with 1600-01-01 = 0; strictly monotone in calendar order."""
-    n = _days_before_year(d.year) + _DAYS_BEFORE_MONTH[d.month - 1] + (d.day - 1)
-    if d.month > 2 and is_leap_year(d.year):
-        n += 1
-    return n - _EPOCH_OFFSET
+    return date(d.year, d.month, d.day).toordinal() - _EPOCH_ORDINAL
 
 
 def from_day_number(n: int) -> CalendarDate:
     """Inverse of to_day_number over the valid date range."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"day number must be an integer, got {n!r}")
-    days = n + _EPOCH_OFFSET
-    if days < 0 or n > _MAX_DAY_NUMBER:
+    ordinal = n + _EPOCH_ORDINAL
+    if not 1 <= ordinal <= date.max.toordinal():
         raise ValueError(f"day number out of range: {n}")
-    year = max(1, 1 + days * 400 // 146097)
-    while _days_before_year(year + 1) <= days:
-        year += 1
-    while _days_before_year(year) > days:
-        year -= 1
-    doy = days - _days_before_year(year)
-    month = 1
-    while doy >= days_in_month(year, month):
-        doy -= days_in_month(year, month)
-        month += 1
-    return CalendarDate(year, month, doy + 1)
+    d = date.fromordinal(ordinal)
+    return CalendarDate(d.year, d.month, d.day)
 
 
 @dataclass(frozen=True)
@@ -145,14 +122,11 @@ class DateInterval:
     circa: bool = False
 
     def __post_init__(self) -> None:
-        if to_day_number(self.end) < to_day_number(self.start):
+        if self.end < self.start:
             raise ValueError("interval end precedes start")
 
     def overlaps(self, other: "DateInterval") -> bool:
-        return (
-            to_day_number(self.start) <= to_day_number(other.end)
-            and to_day_number(other.start) <= to_day_number(self.end)
-        )
+        return self.start <= other.end and other.start <= self.end
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +138,10 @@ class LifeEvent:
     """One georeferenced timeline entry: a time interval plus a place.
 
     The place is either a gazetteer key, an inline point, or both; an
-    inline point overrides the gazetteer at resolution time.
+    inline point overrides the gazetteer at resolution time. ``line`` is
+    the 1-based line of the event's ``[event]`` header when it was
+    parsed from VITA text; it locates diagnostics and takes no part in
+    equality.
     """
 
     id: str
@@ -175,6 +152,7 @@ class LifeEvent:
     label: str = ""
     note: str = ""
     attachments: tuple[str, ...] = ()
+    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not is_token(self.id):
@@ -276,7 +254,7 @@ def validate_biography(
     """
     out: list[Diagnostic] = []
     seen_ids: set[str] = set()
-    residences: list[LifeEvent] = []
+    residences: list[tuple[str, int, int]] = []  # (id, start day, end day)
     prev_start: int | None = None
     base = Path(base_dir) if base_dir is not None else None
 
@@ -285,22 +263,23 @@ def validate_biography(
             out.append(Diagnostic("error", event.id, f"duplicate event id '{event.id}'"))
         seen_ids.add(event.id)
 
-        if to_day_number(event.when.end) < to_day_number(event.when.start):
+        start_day = to_day_number(event.when.start)
+        end_day = to_day_number(event.when.end)
+        if end_day < start_day:
             out.append(Diagnostic("error", event.id, "interval end precedes start"))
 
         if event.kind == "residence":
-            for earlier in residences:
-                if event.when.overlaps(earlier.when):
+            for earlier_id, earlier_start, earlier_end in residences:
+                if start_day <= earlier_end and earlier_start <= end_day:
                     out.append(
                         Diagnostic(
                             "warning",
                             event.id,
-                            f"overlapping residences: '{earlier.id}' and '{event.id}'",
+                            f"overlapping residences: '{earlier_id}' and '{event.id}'",
                         )
                     )
-            residences.append(event)
+            residences.append((event.id, start_day, end_day))
 
-        start_day = to_day_number(event.when.start)
         if prev_start is not None and start_day < prev_start:
             out.append(Diagnostic("warning", event.id, "event out of chronological order"))
         prev_start = start_day

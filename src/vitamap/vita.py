@@ -41,7 +41,6 @@ from .model import (
     ParseDiagnostic,
     days_in_month,
     is_token,
-    to_day_number,
 )
 
 _ASCII_WS = " \t\r\f\v"
@@ -273,7 +272,7 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
     if start_interval is not None:
         if end_interval is None:
             when = start_interval
-        elif to_day_number(end_interval.end) < to_day_number(start_interval.start):
+        elif end_interval.end < start_interval.start:
             assert end is not None
             diags.append(ParseDiagnostic(end[1], end[2], "interval end precedes start"))
         else:
@@ -320,6 +319,7 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
             label=label[0] if label else "",
             note=note[0] if note else "",
             attachments=tuple(path for path, _, _ in block.attachments),
+            line=block.header_line,
         )
     except ValueError as exc:  # belt and braces: surface as a diagnostic
         diags.append(ParseDiagnostic(block.header_line, 1, str(exc)))

@@ -127,6 +127,24 @@ class TestStreamDiscipline:
         assert "cannot read input" in capsys.readouterr().err
 
 
+class TestUndecodableFiles:
+    def test_non_utf8_input_is_located_usage_error(self, workspace, capsys):
+        path = workspace / "latin1.vita"
+        path.write_bytes(OK_VITA.encode("utf-8").replace(b"Tiny Life", b"Tiny \xff Life"))
+        assert main(["compile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error {path}:2 input is not valid UTF-8 (invalid start byte)\n"
+
+    def test_non_utf8_gazetteer_is_located_usage_error(self, workspace, capsys):
+        gaz = workspace / "gazetteer.tsv"
+        gaz.write_bytes(GAZ.encode("utf-8").replace(b"\tAway\t", b"\tAw\xe4y\t"))
+        assert main(["compile", vita(workspace, "ok")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error {gaz}:2 gazetteer is not valid UTF-8 (")
+
+
 class TestStrict:
     def test_warnings_pass_by_default(self, workspace):
         assert main(["validate", vita(workspace, "overlap")]) == 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -29,6 +31,9 @@ from vitamap.model import (
     GeoPoint,
     InvalidBiographyError,
     LifeEvent,
+    from_day_number,
+    to_day_number,
+    validate_biography,
 )
 
 from strategies import biographies
@@ -282,3 +287,59 @@ class TestDistanceMatrix:
         )
         rows = list(csv.reader(io.StringIO(distance_matrix(b, GAZ))))
         assert len(rows) == 3  # header + two distinct places
+
+
+def generated_biography(n: int, seed: int = 4) -> Biography:
+    """n events in shuffled date order over three places, every other one a residence."""
+    rng = random.Random(seed)
+    events = []
+    for i in range(n):
+        start = rng.randrange(100_000)
+        end = start + rng.randrange(3650)
+        events.append(
+            LifeEvent(
+                id=f"e{i}",
+                kind="residence" if i % 2 else "visit",
+                when=DateInterval(from_day_number(start), from_day_number(end)),
+                place_key=rng.choice(("giza", "luxor", "deir-el-medina")),
+            )
+        )
+    return simple_biography(*events)
+
+
+def count_day_number_calls(monkeypatch) -> list[int]:
+    """Wrap to_day_number at every vitamap module that binds it.
+
+    The returned one-element list holds the running call count;
+    monkeypatch restores every binding when the test ends.
+    """
+    calls = [0]
+
+    def counted(d):
+        calls[0] += 1
+        return to_day_number(d)
+
+    for name, module in list(sys.modules.items()):
+        if name == "vitamap" or name.startswith("vitamap."):
+            for attr, value in list(vars(module).items()):
+                if value is to_day_number:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestComplexityGuards:
+    """Call counts, unlike wall time, catch a quadratic path without flaking."""
+
+    def test_emit_kml_day_numbers_linear(self, monkeypatch):
+        b = generated_biography(400)
+        calls = count_day_number_calls(monkeypatch)
+        emit_kml(b, GAZ)
+        assert 0 < calls[0] <= 10 * len(b.events)
+
+    def test_validation_day_numbers_linear(self, monkeypatch):
+        b = generated_biography(400)
+        assert sum(e.kind == "residence" for e in b.events) >= 100
+        calls = count_day_number_calls(monkeypatch)
+        diagnostics = validate_biography(b)
+        assert any("overlapping residences" in d.message for d in diagnostics)
+        assert 0 < calls[0] <= 4 * len(b.events)
