@@ -1,11 +1,13 @@
 """Command line front end: parse, validate, resolve and order, emit.
 
-Each run reads its input once and parses it once; the parser records
-every event's ``[event]`` header line, which validation diagnostics
-point at. Validation findings are reported, the gazetteer is loaded,
-and one formatter from :mod:`vitamap.emit` or :mod:`vitamap.geo`
-renders the result from the single order-and-resolve stage,
-:func:`vitamap.geo.itinerary_stops`.
+One driver, :func:`_run`, runs every subcommand that reads a biography:
+it parses the input, reports validation findings, loads the gazetteer,
+calls the subcommand's formatter ``(args, biography, gazetteer) -> str``
+and writes the result; ``validate`` stops after the parse-and-validate
+step. The formatters render from the single order-and-resolve stage,
+:func:`vitamap.geo.itinerary_stops`. A finding about an event, an
+unresolvable place included, points at the ``[event]`` header line of
+the first event with that id.
 
 Exit codes follow one discipline across all subcommands: 0 success,
 1 domain failure (validation or place resolution), 2 usage or I/O
@@ -31,7 +33,10 @@ import argparse
 import os
 import sys
 import tempfile
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .emit import EmitConfig, distance_matrix, emit_geojson, emit_itinerarium, emit_kml
@@ -45,12 +50,15 @@ from .gazetteer import (
     remote_resolve,
 )
 from .geo import build_itinerary, route_stats
-from .model import Biography, validate_biography
+from .model import Biography, ParseDiagnostic, validate_biography
 from .vita import VitaParseError, parse_biography
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+Gazetteer = dict[str, GazetteerEntry]
+Formatter = Callable[[argparse.Namespace, Biography, Gazetteer], str]
 
 
 class _CliFailure(Exception):
@@ -75,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def input_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def input_command(
+        name: str, help_text: str, formatter: Formatter | None = None
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to a .vita biography file")
         p.add_argument(
@@ -83,13 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)",
         )
         p.add_argument("--strict", action="store_true", help="treat warnings as errors")
+        if formatter is None:
+            p.set_defaults(func=_parse_and_validate)
+        else:
+            p.add_argument("-o", "--output", help="output path (default: stdout)")
+            p.set_defaults(func=partial(_run, formatter))
         return p
 
-    p = input_command("validate", "check a biography and print diagnostics")
-    p.set_defaults(func=cmd_validate)
+    input_command("validate", "check a biography and print diagnostics")
 
-    p = input_command("compile", "emit KML (default) or GeoJSON")
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
+    p = input_command("compile", "emit KML (default) or GeoJSON", _compile)
     p.add_argument("--format", choices=("kml", "geojson"), default="kml")
     p.add_argument(
         "--buckets",
@@ -98,26 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="timeline color bucket count (default 5)",
     )
-    p.set_defaults(func=cmd_compile)
 
-    p = input_command("itinerary", "print the chronological route with distances")
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
+    p = input_command("itinerary", "print the chronological route with distances", _itinerarium)
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_itinerary)
 
-    p = input_command("distances", "sequential legs, or a pairwise place matrix")
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
+    p = input_command("distances", "sequential legs, or a pairwise place matrix", _distances)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument(
         "--matrix",
         action="store_true",
         help="emit a symmetric km matrix over distinct places (CSV)",
     )
-    p.set_defaults(func=cmd_distances)
 
-    p = input_command("stats", "print route summary figures")
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_stats)
+    input_command("stats", "print route summary figures", _stats)
 
     p = sub.add_parser("geocode", help="ask a remote geocoder for a gazetteer row")
     p.add_argument("name", help="place name to look up")
@@ -134,15 +140,27 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except _CliFailure as failure:
         if failure.message:
             print(failure.message, file=sys.stderr)
         return failure.code
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Pipeline helpers
+# The run driver
+
+
+def _run(formatter: Formatter, args: argparse.Namespace) -> None:
+    input_path, biography = _parse_and_validate(args)
+    gazetteer = _load_gazetteer_for(args, biography, input_path)
+    try:
+        text = formatter(args, biography, gazetteer)
+    except UnknownPlace as exc:
+        line = _header_lines(biography)[exc.event_id]
+        raise _CliFailure(EXIT_DOMAIN, f"error {input_path}:{line} {exc}")
+    _write_output(text, args.output)
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -163,34 +181,39 @@ def _read_text(path: Path, what: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _parse_input(path: Path) -> Biography:
-    try:
-        return parse_biography(_read_text(path, "input"))
-    except VitaParseError as exc:
-        for d in exc.diagnostics:
-            print(f"error {path}:{d.line} {d.message}", file=sys.stderr)
-        raise _CliFailure(EXIT_DOMAIN)
-
-
-def _report_validation(biography: Biography, path: Path, strict: bool) -> None:
-    diagnostics = validate_biography(biography, base_dir=path.parent)
-    if not diagnostics:
-        return
-    # A diagnostic points at the header of the first event with its id.
-    header_line: dict[str, int | None] = {}
-    for event in biography.events:
-        header_line.setdefault(event.id, event.line)
-    failed = False
+def _fail(path: Path, diagnostics: list[ParseDiagnostic]) -> NoReturn:
     for d in diagnostics:
+        print(f"error {path}:{d.line} {d.message}", file=sys.stderr)
+    raise _CliFailure(EXIT_DOMAIN)
+
+
+def _header_lines(biography: Biography) -> dict[str, int | None]:
+    """The ``[event]`` header line of the first event with each id."""
+    lines: dict[str, int | None] = {}
+    for event in biography.events:
+        lines.setdefault(event.id, event.line)
+    return lines
+
+
+def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
+    path = Path(args.input)
+    try:
+        biography = parse_biography(_read_text(path, "input"))
+    except VitaParseError as exc:
+        _fail(path, exc.diagnostics)
+    header_line = _header_lines(biography)
+    failed = False
+    for d in validate_biography(biography, base_dir=path.parent):
         print(f"{d.severity} {path}:{header_line[d.event_id]} {d.message}", file=sys.stderr)
-        failed = failed or d.severity == "error" or (strict and d.severity == "warning")
+        failed = failed or d.severity == "error" or (args.strict and d.severity == "warning")
     if failed:
         raise _CliFailure(EXIT_DOMAIN)
+    return path, biography
 
 
 def _load_gazetteer_for(
     args: argparse.Namespace, biography: Biography, input_path: Path
-) -> dict[str, GazetteerEntry]:
+) -> Gazetteer:
     explicit = args.gazetteer or os.environ.get("VITA_GAZETTEER")
     if explicit:
         gaz_path = Path(explicit)
@@ -204,9 +227,7 @@ def _load_gazetteer_for(
     try:
         return load_gazetteer(source)
     except GazetteerParseError as exc:
-        for d in exc.diagnostics:
-            print(f"error {gaz_path}:{d.line} {d.message}", file=sys.stderr)
-        raise _CliFailure(EXIT_DOMAIN)
+        _fail(gaz_path, exc.diagnostics)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -231,68 +252,28 @@ def _write_output(text: str, output: str | None) -> None:
         raise _CliFailure(EXIT_USAGE, f"cannot write output '{output}': {exc.strerror or exc}")
 
 
-def _prepare(args: argparse.Namespace) -> tuple[Biography, dict[str, GazetteerEntry], Path]:
-    input_path = Path(args.input)
-    biography = _parse_input(input_path)
-    _report_validation(biography, input_path, args.strict)
-    return biography, _load_gazetteer_for(args, biography, input_path), input_path
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Formatters: (args, biography, gazetteer) -> the text to write
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    input_path = Path(args.input)
-    biography = _parse_input(input_path)
-    _report_validation(biography, input_path, args.strict)
-    return EXIT_OK
+def _compile(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
+    if args.format == "geojson":
+        return emit_geojson(biography, gazetteer)
+    return emit_kml(biography, gazetteer, EmitConfig(bucket_count=args.buckets))
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
-    biography, gazetteer, input_path = _prepare(args)
-    try:
-        if args.format == "geojson":
-            text = emit_geojson(biography, gazetteer)
-        else:
-            text = emit_kml(biography, gazetteer, EmitConfig(bucket_count=args.buckets))
-    except UnknownPlace as exc:
-        raise _CliFailure(EXIT_DOMAIN, f"error {input_path}: {exc}")
-    _write_output(text, args.output)
-    return EXIT_OK
+def _itinerarium(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
+    return emit_itinerarium(build_itinerary(biography, gazetteer), biography, args.format)
 
 
-def cmd_itinerary(args: argparse.Namespace) -> int:
-    biography, gazetteer, input_path = _prepare(args)
-    try:
-        legs = build_itinerary(biography, gazetteer)
-    except UnknownPlace as exc:
-        raise _CliFailure(EXIT_DOMAIN, f"error {input_path}: {exc}")
-    _write_output(emit_itinerarium(legs, biography, args.format), args.output)
-    return EXIT_OK
+def _distances(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
+    if args.matrix:
+        return distance_matrix(biography, gazetteer)
+    return _itinerarium(args, biography, gazetteer)
 
 
-def cmd_distances(args: argparse.Namespace) -> int:
-    biography, gazetteer, input_path = _prepare(args)
-    try:
-        if args.matrix:
-            text = distance_matrix(biography, gazetteer)
-        else:
-            legs = build_itinerary(biography, gazetteer)
-            text = emit_itinerarium(legs, biography, args.format)
-    except UnknownPlace as exc:
-        raise _CliFailure(EXIT_DOMAIN, f"error {input_path}: {exc}")
-    _write_output(text, args.output)
-    return EXIT_OK
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    biography, gazetteer, input_path = _prepare(args)
-    try:
-        legs = build_itinerary(biography, gazetteer)
-    except UnknownPlace as exc:
-        raise _CliFailure(EXIT_DOMAIN, f"error {input_path}: {exc}")
-    stats = route_stats(legs, biography)
+def _stats(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
+    stats = route_stats(build_itinerary(biography, gazetteer), biography)
     box = stats.box
     lines = [
         f"event_count: {stats.event_count}",
@@ -304,11 +285,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"lon {box.min_lon:.6f}..{box.max_lon:.6f}"
         ),
     ]
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_geocode(args: argparse.Namespace) -> int:
+def cmd_geocode(args: argparse.Namespace) -> None:
     if not args.endpoint:
         raise _CliFailure(EXIT_USAGE, "geocode requires --endpoint; there is no default geocoder")
     try:
@@ -316,7 +296,6 @@ def cmd_geocode(args: argparse.Namespace) -> int:
     except GeocoderError as exc:
         raise _CliFailure(EXIT_DOMAIN, f"error: {exc}")
     print(gazetteer_row(entry))
-    return EXIT_OK
 
 
 if __name__ == "__main__":

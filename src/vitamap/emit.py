@@ -90,7 +90,21 @@ def _check_valid(biography: Biography) -> None:
         raise InvalidBiographyError(errors)
 
 
+# Code points outside XML 1.0 Char (section 2.2): C0 controls other than
+# tab, newline and carriage return, surrogates, U+FFFE and U+FFFF. The
+# parser accepts them in free text; _xml_escape, which every free-text
+# value passes through (attachment paths too), replaces them.
+_NOT_XML_CHAR = dict.fromkeys(
+    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF],
+    "\uFFFD",
+)
+
+
 def _xml_escape(text: str) -> str:
+    # Printable text holds no control, surrogate or unassigned code point;
+    # the check is several times cheaper than the translation.
+    if not text.isprintable():
+        text = text.translate(_NOT_XML_CHAR)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -106,7 +120,8 @@ def _placemark_name(event: LifeEvent) -> str:
 def _description(event: LifeEvent, include_attachments: bool) -> str:
     parts = [_xml_escape(event.note)]
     if include_attachments and event.attachments:
-        anchors = "".join(f'<br/><a href="{path}">{path}</a>' for path in event.attachments)
+        hrefs = (_xml_escape(path).replace('"', "&quot;") for path in event.attachments)
+        anchors = "".join(f'<br/><a href="{href}">{href}</a>' for href in hrefs)
         parts.append(_cdata(anchors))
     return "".join(parts)
 
@@ -119,11 +134,12 @@ def emit_kml(
     """Render a biography as a KML 2.2 document.
 
     One Placemark per event in itinerary order, each with a TimeSpan,
-    a style reference for its timeline bucket, and a Point. Notes are
-    XML-escaped; attachments become relative links inside CDATA. The
-    circa flag is surfaced by appending " (c.)" to the placemark name.
-    Raises InvalidBiographyError or UnknownPlace instead of emitting
-    partial output.
+    a style reference for its timeline bucket, and a Point. Free text
+    is XML-escaped, with code points outside XML 1.0 ``Char`` replaced
+    by U+FFFD; attachments become HTML-escaped relative links inside
+    CDATA. The circa flag is surfaced by appending " (c.)" to the
+    placemark name. Raises InvalidBiographyError or UnknownPlace
+    instead of emitting partial output.
     """
     config = config or EmitConfig()
     _check_valid(biography)

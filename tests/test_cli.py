@@ -127,6 +127,16 @@ class TestStreamDiscipline:
         assert "cannot read input" in capsys.readouterr().err
 
 
+class TestUnknownPlace:
+    @pytest.mark.parametrize("command", ["compile", "itinerary", "distances", "stats"])
+    def test_located_at_event_header(self, workspace, capsys, command):
+        path = vita(workspace, "unknown")
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error {path}:12 unknown place 'atlantis' (event 'move')\n"
+
+
 class TestUndecodableFiles:
     def test_non_utf8_input_is_located_usage_error(self, workspace, capsys):
         path = workspace / "latin1.vita"
@@ -219,6 +229,13 @@ class TestOutputs:
             "index", "start", "end", "place", "label", "lat", "lon", "leg_km", "cum_km",
         ]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_distances_without_matrix_is_the_itinerary(self, schiaparelli_path, capsys, fmt):
+        assert main(["itinerary", str(schiaparelli_path), "--format", fmt]) == 0
+        itinerary = capsys.readouterr().out
+        assert main(["distances", str(schiaparelli_path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == itinerary
 
     def test_distances_matrix(self, workspace, capsys):
         assert main(["distances", vita(workspace, "ok"), "--matrix"]) == 0

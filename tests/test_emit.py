@@ -23,7 +23,7 @@ from vitamap.emit import (
     timeline_bucket,
 )
 from vitamap.geo import build_itinerary, itinerary_order
-from vitamap.gazetteer import UnknownPlace, load_gazetteer
+from vitamap.gazetteer import GazetteerEntry, UnknownPlace, load_gazetteer, normalize_key
 from vitamap.model import (
     Biography,
     CalendarDate,
@@ -135,6 +135,24 @@ class TestEmitKml:
         assert '<![CDATA[<br/><a href="img/tomb.jpg">img/tomb.jpg</a>]]>' in text
         off = emit_kml(simple_biography(e), GAZ, EmitConfig(include_attachments=False))
         assert "CDATA" not in off
+
+    def test_attachment_anchor_is_html_escaped(self):
+        path = 'a"b<c.jpg'
+        e = day_event("a", 1900, 1, 1, attachments=(path,))
+        root = ET.fromstring(emit_kml(simple_biography(e), GAZ))
+        description = root.find(".//kml:description", NS).text
+        anchor = ET.fromstring(f"<p>{description}</p>").find("a")
+        assert anchor.get("href") == path
+        assert anchor.text == path
+
+    @settings(max_examples=150)
+    @given(biographies())
+    def test_well_formed_for_any_biography(self, b):
+        # Free text may hold any character the parser accepts, C0 controls included.
+        keys = {normalize_key(e.place_key) for e in b.events if e.place_key is not None}
+        gazetteer = {k: GazetteerEntry(k, k, GeoPoint(1.0, 2.0)) for k in keys}
+        root = ET.fromstring(emit_kml(b, gazetteer))
+        assert len(root.findall(".//kml:Placemark", NS)) == len(b.events)
 
     def test_style_urls_resolve(self):
         events = tuple(day_event(f"e{i}", 1900 + i, 1, 1) for i in range(12))
