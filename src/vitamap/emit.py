@@ -101,10 +101,7 @@ _NOT_XML_CHAR = dict.fromkeys(
 
 
 def _xml_escape(text: str) -> str:
-    # Printable text holds no control, surrogate or unassigned code point;
-    # the check is several times cheaper than the translation.
-    if not text.isprintable():
-        text = text.translate(_NOT_XML_CHAR)
+    text = text.translate(_NOT_XML_CHAR)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -11,10 +11,10 @@ VITA is a line-oriented UTF-8 text format:
   path to a gazetteer TSV).
 * Event keys: ``id``, ``kind`` (default ``other``), ``start``,
   ``end`` (default: same expression as ``start``), ``place`` (gazetteer
-  key), ``lat``/``lon`` (inline point, both or neither), ``label``
-  (default: the place key, else the event id), ``note`` and ``attach``
-  (repeatable, relative paths). Unknown keys are errors so typos are
-  caught instead of ignored.
+  key; it must not normalize to an empty key), ``lat``/``lon`` (inline
+  point, both or neither), ``label`` (default: the place key, else the
+  event id), ``note`` and ``attach`` (repeatable, relative paths).
+  Unknown keys are errors so typos are caught instead of ignored.
 * Date expressions are ``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD``,
   optionally prefixed with ``c.`` for approximate dates. A bare year
   covers Jan 1 to Dec 31 and a bare month covers the whole month, so
@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .gazetteer import UnknownPlace, normalize_key
 from .model import (
     Biography,
     CalendarDate,
@@ -299,6 +300,11 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
         diags.append(
             ParseDiagnostic(block.header_line, 1, "event needs a place or inline lat/lon")
         )
+    elif place is not None:
+        try:
+            normalize_key(place[0])
+        except UnknownPlace as exc:
+            diags.append(ParseDiagnostic(place[1], place[2], str(exc)))
 
     for path, lineno, col in block.attachments:
         if path.startswith("/"):

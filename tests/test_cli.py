@@ -136,6 +136,27 @@ class TestUnknownPlace:
         assert captured.out == ""
         assert captured.err == f"error {path}:12 unknown place 'atlantis' (event 'move')\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["validate"],
+            ["compile"],
+            ["itinerary"],
+            ["distances"],
+            ["distances", "--matrix"],
+            ["stats"],
+        ],
+    )
+    def test_place_with_empty_key_is_located(self, workspace, capsys, command):
+        path = workspace / "empty-key.vita"
+        path.write_text(
+            OK_VITA.replace("place = away", "place = ---\nlat = 1\nlon = 2"), encoding="utf-8"
+        )
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error {path}:17 name normalizes to empty key: '---'\n"
+
 
 class TestUndecodableFiles:
     def test_non_utf8_input_is_located_usage_error(self, workspace, capsys):

@@ -194,6 +194,15 @@ class TestParseBiography:
         assert any("missing required key 'id'" in m for m in messages)
         assert any("missing required key 'start'" in m for m in messages)
 
+    def test_place_that_normalizes_to_empty_key(self):
+        # Even with an inline point the key is rejected: itineraries and
+        # stats identify keyed places by their normalized key.
+        src = NEWTON_MINIMAL.replace("place = woolsthorpe", "place = -_-\nlat = 1\nlon = 2")
+        diags = diagnostics_of(src)
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (9, 9, "name normalizes to empty key: '-_-'")
+        ]
+
     def test_gazetteer_hint(self):
         src = NEWTON_MINIMAL.replace("id = newton", "id = newton\ngazetteer = places.tsv")
         assert parse_biography(src).gazetteer_hint == "places.tsv"
