@@ -90,7 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="path to a .vita biography file")
         p.add_argument(
             "--gazetteer",
-            help="gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)",
+            help=(
+                "gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)"
+                if formatter is not None
+                else "accepted but not read: validate checks the biography without a gazetteer"
+            ),
         )
         p.add_argument("--strict", action="store_true", help="treat warnings as errors")
         if formatter is None:

@@ -6,7 +6,8 @@ Every output here, the distance matrix included, is formatted from
 one stage, :func:`vitamap.geo.itinerary_stops`: the events in itinerary
 order, each paired with its resolved point. The emitters neither sort
 nor resolve; the KML timeline buckets take their bounds t0 and t1 from
-the first and last stop's start day, once per document.
+the first and last stop's start day, once per document, and the
+distance matrix computes each unordered pair of places once.
 
 All three emitters are pure text producers: identical inputs give
 byte-identical output. Coordinates are written with 6 decimal places
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import re
+from array import array
 from dataclasses import dataclass
 
 from .gazetteer import GazetteerEntry, normalize_key
@@ -290,8 +292,11 @@ def distance_matrix(
 
     Places appear in order of first itinerary occurrence; keyed places
     are labeled by normalized key, inline-only points by
-    "lat,lon". The diagonal is 0.000 and the matrix is exactly
-    symmetric because both cells come from the same computation.
+    "lat,lon". Each unordered pair is computed once, as
+    ``haversine_km(points[i], points[j])`` with i < j, into a flat upper
+    triangle; a row reads its cells left of the diagonal back from the
+    rows above. So the diagonal is 0.000 and the matrix is exactly
+    symmetric.
     """
     labels: list[str] = []
     points: list[GeoPoint] = []
@@ -307,10 +312,14 @@ def distance_matrix(
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["place", *labels])
-    for i, label in enumerate(labels):
-        distances = [
-            "0.000" if i == j else f"{haversine_km(points[min(i, j)], points[max(i, j)]):.3f}"
-            for j in range(len(labels))
-        ]
-        writer.writerow([label, *distances])
+    # Cell (j, i) with j < i is upper[row_start[j] + i]; doubles in an
+    # array take 8 bytes a cell, a list of floats 32.
+    upper = array("d")
+    row_start: list[int] = []
+    for i, (label, a) in enumerate(zip(labels, points)):
+        right = [haversine_km(a, b) for b in points[i + 1 :]]
+        left = [upper[start + i] for start in row_start]
+        row_start.append(len(upper) - i - 1)
+        upper.extend(right)
+        writer.writerow([label, *[f"{d:.3f}" for d in (*left, 0.0, *right)]])
     return buffer.getvalue()

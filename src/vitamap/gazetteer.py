@@ -15,17 +15,18 @@ compiled outputs stay reproducible offline.
 from __future__ import annotations
 
 import json
-import re
 import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from .model import GeoPoint, LifeEvent, ParseDiagnostic, is_token
+from .model import GeoPoint, LifeEvent, ParseDiagnostic, fold_key, is_token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazetteerEntry:
+    """One gazetteer row; slotted, as a gazetteer holds thousands."""
+
     key: str
     display_name: str
     point: GeoPoint
@@ -139,17 +140,12 @@ def gazetteer_row(entry: GazetteerEntry) -> str:
     )
 
 
-_SEPARATOR_RUN_RE = re.compile(r"[\s_]+")
-
-
 def normalize_key(name: str) -> str:
-    """Fold a display name into a lookup key.
+    """Fold a display name into a lookup key with :func:`fold_key`.
 
-    Lowercases (non-ASCII letters included), collapses runs of
-    whitespace and underscores into single hyphens and strips hyphens
-    from the ends. Idempotent. Raises UnknownPlace when nothing is left.
+    Idempotent. Raises UnknownPlace when nothing is left.
     """
-    key = _SEPARATOR_RUN_RE.sub("-", name.lower()).strip("-")
+    key = fold_key(name)
     if not key:
         raise UnknownPlace(name, reason=f"name normalizes to empty key: {name!r}")
     return key

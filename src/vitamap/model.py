@@ -28,17 +28,32 @@ def is_token(text: str) -> bool:
     return bool(TOKEN_RE.match(text))
 
 
+_SEPARATOR_RUN_RE = re.compile(r"[\s_]+")
+
+
+def fold_key(name: str) -> str:
+    """Fold a display name into a lookup key, possibly empty.
+
+    Lowercases (non-ASCII letters included), collapses runs of
+    whitespace and underscores into single hyphens and strips hyphens
+    from the ends. Idempotent. :func:`vitamap.gazetteer.normalize_key`
+    is the same fold, raising when nothing is left.
+    """
+    return _SEPARATOR_RUN_RE.sub("-", name.lower()).strip("-")
+
+
 # ---------------------------------------------------------------------------
 # Coordinates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """WGS84 latitude/longitude in decimal degrees.
 
     Longitude is normalized into (-180, 180] at construction (adding or
     subtracting whole turns), so every point has one canonical form and
-    normalization is idempotent bit for bit.
+    normalization is idempotent bit for bit. Slotted, with no
+    ``__dict__``: a gazetteer holds one per row.
     """
 
     lat: float
@@ -138,10 +153,11 @@ class LifeEvent:
     """One georeferenced timeline entry: a time interval plus a place.
 
     The place is either a gazetteer key, an inline point, or both; an
-    inline point overrides the gazetteer at resolution time. ``line`` is
-    the 1-based line of the event's ``[event]`` header when it was
-    parsed from VITA text; it locates diagnostics and takes no part in
-    equality.
+    inline point overrides the gazetteer at resolution time. A place
+    key must fold to a non-empty key (:func:`fold_key`), so every
+    consumer can normalize it. ``line`` is the 1-based line of the
+    event's ``[event]`` header when it was parsed from VITA text; it
+    locates diagnostics and takes no part in equality.
     """
 
     id: str
@@ -161,8 +177,8 @@ class LifeEvent:
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.place_key is None and self.point is None:
             raise ValueError(f"event {self.id!r} needs a place key or an inline point")
-        if self.place_key == "":
-            raise ValueError("place_key must not be empty (use None)")
+        if self.place_key is not None and not fold_key(self.place_key):
+            raise ValueError(f"place_key normalizes to empty key (use None): {self.place_key!r}")
         object.__setattr__(self, "attachments", tuple(self.attachments))
         for path in self.attachments:
             if not path or path.startswith("/"):

@@ -211,6 +211,10 @@ class TestGazetteerPrecedence:
         assert main(["compile", vita(workspace, "ok")]) == 0
         assert "20.000000,10.000000" in capsys.readouterr().out
 
+    def test_validate_help_says_the_gazetteer_is_not_read(self, capsys):
+        assert main(["validate", "--help"]) == 0
+        assert "accepted but not read" in " ".join(capsys.readouterr().out.split())
+
     def test_inline_only_file_needs_no_gazetteer(self, tmp_path, monkeypatch, capsys):
         source = OK_VITA.replace("gazetteer = gazetteer.tsv\n", "").replace(
             "place = home", "lat = 1.0\nlon = 2.0"

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from vitamap.corpora import golden_output, newton_corpus, schiaparelli_corpus
-from vitamap.emit import emit_geojson, emit_itinerarium, emit_kml
+from vitamap.emit import distance_matrix, emit_geojson, emit_itinerarium, emit_kml
 from vitamap.geo import bounding_box, build_itinerary, route_stats
 from vitamap.gazetteer import load_gazetteer
 from vitamap.model import validate_biography
@@ -60,6 +60,7 @@ class TestBothCorpora:
         assert emit_kml(biography, gazetteer) == golden_output(f"{name}.kml")
         assert emit_geojson(biography, gazetteer) == golden_output(f"{name}.geojson")
         assert emit_itinerarium(legs, biography, "csv") == golden_output(f"{name}.csv")
+        assert distance_matrix(biography, gazetteer) == golden_output(f"{name}.matrix.csv")
 
 
 class TestNewton:

@@ -22,7 +22,14 @@ from vitamap.emit import (
     emit_kml,
     timeline_bucket,
 )
-from vitamap.geo import build_itinerary, itinerary_order
+from vitamap.geo import (
+    build_itinerary,
+    haversine_km,
+    itinerary_order,
+    itinerary_stops,
+    place_identity,
+    route_stats,
+)
 from vitamap.gazetteer import GazetteerEntry, UnknownPlace, load_gazetteer, normalize_key
 from vitamap.model import (
     Biography,
@@ -306,6 +313,69 @@ class TestDistanceMatrix:
         rows = list(csv.reader(io.StringIO(distance_matrix(b, GAZ))))
         assert len(rows) == 3  # header + two distinct places
 
+    @given(biographies(), st.randoms(use_true_random=False))
+    def test_matches_per_cell_reference(self, b, rng):
+        keys = sorted({normalize_key(e.place_key) for e in b.events if e.place_key is not None})
+        gazetteer = {
+            k: GazetteerEntry(k, k, GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180)))
+            for k in keys
+        }
+        places: dict[object, tuple[str, GeoPoint]] = {}
+        for event, point in itinerary_stops(b, gazetteer):
+            identity = place_identity(event, point)
+            label = identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}"
+            places.setdefault(identity, (label, point))
+        labels = [label for label, _ in places.values()]
+        points = [point for _, point in places.values()]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["place", *labels])
+        for i, label in enumerate(labels):
+            cells = [
+                "0.000" if i == j else f"{haversine_km(points[min(i, j)], points[max(i, j)]):.3f}"
+                for j in range(len(points))
+            ]
+            writer.writerow([label, *cells])
+        assert distance_matrix(b, gazetteer) == expected.getvalue()
+
+
+class TestDirectlyBuiltPlaceKeys:
+    """Events built through the API, not parsed, reach every consumer with a
+    place key that folds to a real key; one that folds to nothing is refused
+    at construction, so no consumer meets it (an UnknownPlace without an
+    event id)."""
+
+    @staticmethod
+    def biography(place_key: str) -> Biography:
+        inline = day_event("a", 1900, 1, 1, place_key=place_key, point=GeoPoint(25.7, 32.6))
+        return simple_biography(inline, day_event("b", 1905, 1, 1, place_key="deir-el-medina"))
+
+    def check_refused(self) -> None:
+        with pytest.raises(ValueError, match="normalizes to empty key"):
+            self.biography("---")
+
+    def test_emit_kml(self):
+        self.check_refused()
+        root = ET.fromstring(emit_kml(self.biography("_Deir  el-Medina_"), GAZ))
+        assert len(root.findall(".//kml:Placemark", NS)) == 2
+
+    def test_emit_itinerarium(self):
+        self.check_refused()
+        b = self.biography("_Deir  el-Medina_")
+        text = emit_itinerarium(build_itinerary(b, GAZ), b, "csv")
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [row["place"] for row in rows] == ["deir-el-medina", "deir-el-medina"]
+
+    def test_route_stats(self):
+        self.check_refused()
+        b = self.biography("_Deir  el-Medina_")
+        assert route_stats(build_itinerary(b, GAZ), b).distinct_place_count == 1
+
+    def test_distance_matrix(self):
+        self.check_refused()
+        text = distance_matrix(self.biography("_Deir  el-Medina_"), GAZ)
+        assert text == "place,deir-el-medina\ndeir-el-medina,0.000\n"
+
 
 def generated_biography(n: int, seed: int = 4) -> Biography:
     """n events in shuffled date order over three places, every other one a residence."""
@@ -325,22 +395,22 @@ def generated_biography(n: int, seed: int = 4) -> Biography:
     return simple_biography(*events)
 
 
-def count_day_number_calls(monkeypatch) -> list[int]:
-    """Wrap to_day_number at every vitamap module that binds it.
+def count_calls(monkeypatch, function) -> list[int]:
+    """Wrap function at every vitamap module that binds it.
 
     The returned one-element list holds the running call count;
     monkeypatch restores every binding when the test ends.
     """
     calls = [0]
 
-    def counted(d):
+    def counted(*args):
         calls[0] += 1
-        return to_day_number(d)
+        return function(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "vitamap" or name.startswith("vitamap."):
             for attr, value in list(vars(module).items()):
-                if value is to_day_number:
+                if value is function:
                     monkeypatch.setattr(module, attr, counted)
     return calls
 
@@ -350,14 +420,29 @@ class TestComplexityGuards:
 
     def test_emit_kml_day_numbers_linear(self, monkeypatch):
         b = generated_biography(400)
-        calls = count_day_number_calls(monkeypatch)
+        calls = count_calls(monkeypatch, to_day_number)
         emit_kml(b, GAZ)
         assert 0 < calls[0] <= 10 * len(b.events)
 
     def test_validation_day_numbers_linear(self, monkeypatch):
         b = generated_biography(400)
         assert sum(e.kind == "residence" for e in b.events) >= 100
-        calls = count_day_number_calls(monkeypatch)
+        calls = count_calls(monkeypatch, to_day_number)
         diagnostics = validate_biography(b)
         assert any("overlapping residences" in d.message for d in diagnostics)
         assert 0 < calls[0] <= 4 * len(b.events)
+
+    def test_distance_matrix_computes_each_pair_once(self, monkeypatch):
+        places = 40
+        events = [
+            day_event(
+                f"e{i}", 1900 + i, 1, 1, place_key=None, point=GeoPoint(-60.0 + 3 * i, 8.5 * i)
+            )
+            for i in range(places)
+        ]
+        # A revisit adds a row to the itinerary but no place to the matrix.
+        events.append(day_event("back", 1990, 1, 1, place_key=None, point=events[0].point))
+        calls = count_calls(monkeypatch, haversine_km)
+        rows = list(csv.reader(io.StringIO(distance_matrix(simple_biography(*events), GAZ))))
+        assert len(rows) == places + 1
+        assert calls[0] == places * (places - 1) // 2

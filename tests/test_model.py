@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
+from vitamap.gazetteer import GazetteerEntry
 from vitamap.model import (
     Biography,
     CalendarDate,
@@ -16,6 +20,7 @@ from vitamap.model import (
     GeoPoint,
     LifeEvent,
     days_in_month,
+    fold_key,
     from_day_number,
     is_leap_year,
     is_token,
@@ -61,6 +66,49 @@ class TestGeoPoint:
         q = GeoPoint(p.lat, p.lon)
         assert (q.lat, q.lon) == (p.lat, p.lon)
         assert -180.0 < p.lon <= 180.0
+
+
+class TestSlottedValues:
+    """GeoPoint and GazetteerEntry are slotted: a gazetteer holds one of each per row."""
+
+    @pytest.fixture(params=["point", "entry"])
+    def make(self, request):
+        if request.param == "point":
+            return lambda: GeoPoint(41.9, 12.5)
+        return lambda: GazetteerEntry("rome", "Rome", GeoPoint(41.9, 12.5), "Lazio")
+
+    def test_no_instance_dict(self, make):
+        value = make()
+        assert not hasattr(value, "__dict__")
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, first)
+
+    def test_equality_and_hash_are_by_fields(self, make):
+        value = make()
+        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+        assert value == make() and value is not make()
+        assert hash(value) == hash(make()) == hash(fields)
+        assert len({value, make()}) == 1
+
+    def test_replace_runs_post_init(self):
+        assert dataclasses.replace(GeoPoint(0.0, 10.0), lon=200.0) == GeoPoint(0.0, -160.0)
+        entry = GazetteerEntry("rome", "Rome", GeoPoint(41.9, 12.5))
+        moved = dataclasses.replace(entry, region="Lazio")
+        assert moved != entry and (moved.key, moved.region) == ("rome", "Lazio")
+
+    def test_deepcopy_and_pickle_round_trip(self, make):
+        value = make()
+        copies = [copy.copy(value), copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies:
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert not hasattr(twin, "__dict__")
 
 
 class TestCalendar:
@@ -162,6 +210,18 @@ class TestEventAndBiography:
         assert event("a", place_key="giza").label == "giza"
         e = LifeEvent(id="b", kind="other", when=year_interval(1900), point=GeoPoint(1, 2))
         assert e.label == "b"
+
+    @pytest.mark.parametrize("key", ["", "---", "-_-", " _ "])
+    def test_place_key_that_folds_to_nothing_rejected(self, key):
+        with pytest.raises(ValueError, match="normalizes to empty key"):
+            LifeEvent(
+                id="a", kind="other", when=year_interval(1900), place_key=key, point=GeoPoint(1, 2)
+            )
+
+    def test_fold_key(self):
+        assert fold_key("  Deir_el  Medina ") == "deir-el-medina"
+        assert fold_key("--Ägypten--") == "ägypten"
+        assert fold_key(" _-_ ") == ""
 
     def test_absolute_attachment_rejected(self):
         with pytest.raises(ValueError, match="relative"):
