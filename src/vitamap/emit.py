@@ -24,7 +24,7 @@ import re
 from array import array
 from dataclasses import dataclass
 
-from .gazetteer import GazetteerEntry, normalize_key
+from .gazetteer import GazetteerEntry
 from .geo import haversine_km, itinerary_stops, place_identity
 from .model import (
     Biography,
@@ -32,6 +32,7 @@ from .model import (
     InvalidBiographyError,
     ItineraryLeg,
     LifeEvent,
+    fold_key,
     to_day_number,
     validate_biography,
 )
@@ -237,15 +238,15 @@ def emit_itinerarium(
     The text table lists one stop per line under the header
     ``# START END PLACE LAT LON LEG_KM CUM_KM``. The CSV variant adds
     the place key column and quotes per RFC 4180. Distances have 3
-    decimals, half-even.
+    decimals, half-even. Each leg carries its event, so ``biography``
+    is unread; it stays for existing callers.
     """
     if fmt not in ("text", "csv"):
         raise ValueError(f"unknown itinerarium format: {fmt!r}")
-    by_id = {event.id: event for event in biography.events}
     rows = []
     for leg in legs:
-        event = by_id[leg.event_id]
-        place = normalize_key(event.place_key) if event.place_key is not None else ""
+        event = leg.event
+        place = fold_key(event.place_key) if event.place_key is not None else ""
         rows.append(
             (
                 str(leg.index),

@@ -160,10 +160,7 @@ def resolve(event: LifeEvent, gazetteer: dict[str, GazetteerEntry]) -> GeoPoint:
     if event.point is not None:
         return event.point
     assert event.place_key is not None  # model invariant
-    try:
-        key = normalize_key(event.place_key)
-    except UnknownPlace:
-        raise UnknownPlace(event.place_key, event_id=event.id) from None
+    key = fold_key(event.place_key)  # never empty: LifeEvent refuses such keys
     entry = gazetteer.get(key)
     if entry is None:
         raise UnknownPlace(key, event_id=event.id)

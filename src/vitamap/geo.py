@@ -14,13 +14,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .gazetteer import GazetteerEntry, normalize_key, resolve
+from .gazetteer import GazetteerEntry, resolve
 from .model import (
     Biography,
     CalendarDate,
     GeoPoint,
     ItineraryLeg,
     LifeEvent,
+    fold_key,
     to_day_number,
 )
 
@@ -85,7 +86,7 @@ def place_identity(event: LifeEvent, point: GeoPoint) -> str | tuple[float, floa
     """What makes two stops the same place: the normalized key of a
     keyed place, else the exact (lat, lon) of an inline-only point."""
     if event.place_key is not None:
-        return normalize_key(event.place_key)
+        return fold_key(event.place_key)
     return (point.lat, point.lon)
 
 
@@ -104,9 +105,7 @@ def build_itinerary(
     for index, (event, point) in enumerate(itinerary_stops(biography, gazetteer)):
         leg_km = 0.0 if previous is None else haversine_km(previous, point)
         cum_km += leg_km
-        legs.append(
-            ItineraryLeg(index=index, event_id=event.id, point=point, leg_km=leg_km, cum_km=cum_km)
-        )
+        legs.append(ItineraryLeg(index, event, point, leg_km, cum_km))
         previous = point
     return legs
 
@@ -143,19 +142,16 @@ class RouteStats:
 
 
 def route_stats(legs: list[ItineraryLeg], biography: Biography) -> RouteStats:
-    """Summarize an itinerary built from the given biography.
+    """Summarize an itinerary from its legs; no legs is a ValueError.
 
-    Distinct places are counted by :func:`place_identity`.
-    """
-    by_id = {event.id: event for event in biography.events}
-    identities = {place_identity(by_id[leg.event_id], leg.point) for leg in legs}
-    first_start = min(e.when.start for e in biography.events)
-    last_end = max(e.when.end for e in biography.events)
+    Places are counted by :func:`place_identity`. Each leg carries its
+    event, so ``biography`` is unread; it stays for existing callers."""
+    box = bounding_box([leg.point for leg in legs])  # first: it rejects no legs
     return RouteStats(
         event_count=len(legs),
-        distinct_place_count=len(identities),
-        first_start=first_start,
-        last_end=last_end,
-        total_km=legs[-1].cum_km if legs else 0.0,
-        box=bounding_box([leg.point for leg in legs]),
+        distinct_place_count=len({place_identity(leg.event, leg.point) for leg in legs}),
+        first_start=min(leg.event.when.start for leg in legs),
+        last_end=max(leg.event.when.end for leg in legs),
+        total_km=legs[-1].cum_km,
+        box=box,
     )

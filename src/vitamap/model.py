@@ -216,13 +216,18 @@ class Biography:
 
 @dataclass(frozen=True)
 class ItineraryLeg:
-    """One hop of a chronological route: event, point, leg and running km."""
+    """One hop of a chronological route: the event it carries (ids may
+    repeat, so never look it up by id), its point, leg and running km."""
 
     index: int
-    event_id: str
+    event: LifeEvent
     point: GeoPoint
     leg_km: float
     cum_km: float
+
+    @property
+    def event_id(self) -> str:
+        return self.event.id
 
 
 # ---------------------------------------------------------------------------

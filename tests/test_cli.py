@@ -113,7 +113,8 @@ class TestStreamDiscipline:
         main(["validate", vita(workspace, "dup")])
         err = capsys.readouterr().err
         path = vita(workspace, "dup")
-        # LEVEL file:line message, pointing at the duplicate [event] header.
+        # LEVEL file:line message; the line is the [event] header of the
+        # first event with that id, as for every diagnostic of an event.
         assert f"error {path}:6 duplicate event id 'start'" in err
 
     def test_parse_errors_reported_with_lines(self, workspace, capsys):

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from vitamap.corpora import golden_output, newton_corpus, schiaparelli_corpus
+from vitamap.cli import main
+from vitamap.corpora import corpus_dir, golden_output, newton_corpus, schiaparelli_corpus
 from vitamap.emit import distance_matrix, emit_geojson, emit_itinerarium, emit_kml
 from vitamap.geo import bounding_box, build_itinerary, route_stats
 from vitamap.gazetteer import load_gazetteer
@@ -61,6 +62,17 @@ class TestBothCorpora:
         assert emit_geojson(biography, gazetteer) == golden_output(f"{name}.geojson")
         assert emit_itinerarium(legs, biography, "csv") == golden_output(f"{name}.csv")
         assert distance_matrix(biography, gazetteer) == golden_output(f"{name}.matrix.csv")
+
+    def test_text_itinerarium_matches_golden(self, corpus):
+        name, biography, gazetteer = corpus
+        legs = build_itinerary(biography, gazetteer)
+        assert emit_itinerarium(legs, biography, "text") == golden_output(f"{name}.txt")
+
+    def test_cli_stats_matches_golden(self, corpus, tmp_path):
+        name, _, _ = corpus
+        out = tmp_path / f"{name}.stats.txt"
+        assert main(["stats", str(corpus_dir() / f"{name}.vita"), "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == golden_output(f"{name}.stats.txt")
 
 
 class TestNewton:

@@ -285,6 +285,19 @@ class TestEmitItinerarium:
         for fmt in ("text", "csv"):
             assert emit_itinerarium(legs, b, fmt) == emit_itinerarium(legs, b, fmt)
 
+    def test_duplicate_ids_keep_their_own_rows(self):
+        # Biography admits duplicate ids so validate_biography can report them.
+        b = simple_biography(
+            day_event("x", 1900, 1, 1, place_key="giza", label="Giza"),
+            day_event("x", 1901, 6, 1, place_key="luxor", label="Luxor"),
+        )
+        text = emit_itinerarium(build_itinerary(b, GAZ), b, "csv")
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert [row[1:7] for row in rows] == [
+            ["1900-01-01", "1900-01-01", "giza", "Giza", "29.977300", "31.132500"],
+            ["1901-06-01", "1901-06-01", "luxor", "Luxor", "25.687200", "32.639600"],
+        ]
+
 
 class TestDistanceMatrix:
     def test_two_place_matrix(self):

@@ -172,6 +172,19 @@ class TestItinerary:
         assert excinfo.value.event_id == "a"
         assert excinfo.value.key == "atlantis"
 
+    def test_legs_carry_their_events(self):
+        b = Biography(
+            title="T",
+            id="t",
+            events=(event("late", 1910, place="giza"), event("early", 1900, place="luxor")),
+        )
+        legs = build_itinerary(b, GAZ)
+        ordered = itinerary_order(b)
+        assert len(legs) == len(ordered)
+        for leg, expected in zip(legs, ordered):
+            assert leg.event is expected
+            assert leg.event_id == expected.id
+
 
 class TestBoundingBox:
     def test_singleton(self):
@@ -231,3 +244,17 @@ class TestRouteStats:
         stats = route_stats(build_itinerary(b, GAZ), b)
         assert stats.first_start.year == 1856
         assert stats.last_end.year == 1928
+
+    def test_duplicate_ids_count_each_place(self):
+        # Biography admits duplicate ids so validate_biography can report them.
+        b = Biography(
+            title="T",
+            id="t",
+            events=(event("x", 1900, place="giza"), event("x", 1901, place="luxor")),
+        )
+        assert route_stats(build_itinerary(b, GAZ), b).distinct_place_count == 2
+
+    def test_no_legs_rejected_by_bounding_box(self):
+        b = Biography(title="T", id="t", events=(event("a", 1900, place="giza"),))
+        with pytest.raises(ValueError, match="at least one point"):
+            route_stats([], b)
