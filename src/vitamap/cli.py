@@ -50,7 +50,7 @@ from .gazetteer import (
     remote_resolve,
 )
 from .geo import build_itinerary, route_stats
-from .model import Biography, ParseDiagnostic, validate_biography
+from .model import Biography, ParseDiagnostic, fold_key, validate_biography
 from .vita import VitaParseError, parse_biography
 
 EXIT_OK = 0
@@ -228,8 +228,10 @@ def _load_gazetteer_for(
         if not gaz_path.exists():
             return {}
     source = _read_text(gaz_path, "gazetteer")
+    # Every row is still checked; entries are built for the places used only.
+    used = {fold_key(e.place_key) for e in biography.events if e.place_key is not None}
     try:
-        return load_gazetteer(source)
+        return load_gazetteer(source, used)
     except GazetteerParseError as exc:
         _fail(gaz_path, exc.diagnostics)
 

@@ -15,9 +15,7 @@ compiled outputs stay reproducible offline.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.parse
-import urllib.request
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .model import GeoPoint, LifeEvent, ParseDiagnostic, fold_key, is_token
@@ -58,14 +56,19 @@ class GeocoderError(Exception):
     """Remote resolver failure: network, HTTP status or malformed body."""
 
 
-def load_gazetteer(source: str) -> dict[str, GazetteerEntry]:
+def load_gazetteer(
+    source: str, keys: Container[str] | None = None
+) -> dict[str, GazetteerEntry]:
     """Parse gazetteer TSV text into an ordered key -> entry map.
 
-    Raises GazetteerParseError listing every malformed row; an empty
-    file is a valid empty gazetteer.
+    Every row is checked, whatever ``keys`` is: GazetteerParseError
+    lists every malformed row, looked up or not. Entries are then built
+    only for ``keys`` (a set of folded place keys; keys the file lacks
+    are ignored), in file order, or for every row when ``keys`` is None.
+    An empty file is a valid empty gazetteer.
     """
-    entries: dict[str, GazetteerEntry] = {}
-    first_line: dict[str, int] = {}
+    # key -> (line, display_name, lat, lon, region)
+    rows: dict[str, tuple[int, str, float, float, str]] = {}
     diags: list[ParseDiagnostic] = []
 
     for lineno, raw in enumerate(source.split("\n"), start=1):
@@ -84,47 +87,44 @@ def load_gazetteer(source: str) -> dict[str, GazetteerEntry]:
         if not is_token(key):
             diags.append(ParseDiagnostic(lineno, 1, f"invalid key '{key}'"))
             continue
-        if key in first_line:
+        first = rows.get(key)
+        if first is not None:
             diags.append(
                 ParseDiagnostic(
-                    lineno, 1, f"duplicate key '{key}' (first defined on line {first_line[key]})"
+                    lineno, 1, f"duplicate key '{key}' (first defined on line {first[0]})"
                 )
             )
             continue
         if not display_name:
             diags.append(ParseDiagnostic(lineno, 1, "empty display_name"))
             continue
-        point = _parse_coordinates(lat_text, lon_text, lineno, diags)
-        if point is None:
+        try:
+            lat = float(lat_text)
+        except ValueError:
+            diags.append(ParseDiagnostic(lineno, 1, f"unparsable latitude '{lat_text}'"))
             continue
-        first_line[key] = lineno
-        entries[key] = GazetteerEntry(key, display_name, point, region)
+        try:
+            lon = float(lon_text)
+        except ValueError:
+            diags.append(ParseDiagnostic(lineno, 1, f"unparsable longitude '{lon_text}'"))
+            continue
+        # NaN is out of range too. Unlike GeoPoint, which normalizes an
+        # out-of-range longitude, the gazetteer rejects it.
+        if not -90.0 <= lat <= 90.0:
+            diags.append(ParseDiagnostic(lineno, 1, "latitude out of range"))
+            continue
+        if not -180.0 < lon <= 180.0:
+            diags.append(ParseDiagnostic(lineno, 1, "longitude out of range"))
+            continue
+        rows[key] = (lineno, display_name, lat, lon, region)
 
     if diags:
         raise GazetteerParseError(diags)
-    return entries
-
-
-def _parse_coordinates(
-    lat_text: str, lon_text: str, lineno: int, diags: list[ParseDiagnostic]
-) -> GeoPoint | None:
-    try:
-        lat = float(lat_text)
-    except ValueError:
-        diags.append(ParseDiagnostic(lineno, 1, f"unparsable latitude '{lat_text}'"))
-        return None
-    try:
-        lon = float(lon_text)
-    except ValueError:
-        diags.append(ParseDiagnostic(lineno, 1, f"unparsable longitude '{lon_text}'"))
-        return None
-    if not -90.0 <= lat <= 90.0:
-        diags.append(ParseDiagnostic(lineno, 1, "latitude out of range"))
-        return None
-    if not -180.0 < lon <= 180.0:
-        diags.append(ParseDiagnostic(lineno, 1, "longitude out of range"))
-        return None
-    return GeoPoint(lat, lon)
+    return {
+        key: GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
+        for key, (_, display_name, lat, lon, region) in rows.items()
+        if keys is None or key in keys
+    }
 
 
 def gazetteer_row(entry: GazetteerEntry) -> str:
@@ -175,6 +175,12 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
     result is returned for display; it is never merged into a loaded
     gazetteer. Never called unless the caller explicitly enabled it.
     """
+    # Imported here: only ``geocode`` needs them, and urllib.request alone
+    # is a few dozen modules on every other command's start-up.
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     url = f"{endpoint}?q={urllib.parse.quote(name)}"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:

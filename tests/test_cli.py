@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from vitamap import gazetteer
 from vitamap.cli import main
+from vitamap.model import GeoPoint
 
 OK_VITA = """\
 [biography]
@@ -32,6 +34,9 @@ start = 1920
 end = 1960
 place = away
 """
+
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "tests" / "fixtures"
 
 GAZ = "home\tHome\t10.0\t20.0\tNowhere\naway\tAway\t-10.0\t30.0\tNowhere\n"
 
@@ -227,6 +232,44 @@ class TestGazetteerPrecedence:
         assert "2.000000,1.000000" in capsys.readouterr().out
 
 
+class TestGazetteerRows:
+    @pytest.mark.parametrize(
+        "command", [["compile"], ["itinerary"], ["distances", "--matrix"], ["stats"]]
+    )
+    def test_unused_broken_rows_fail_the_run(self, monkeypatch, capsys, command):
+        # Every broken row is on a key that no event uses; the path is
+        # relative to the repository root, as in the golden.
+        monkeypatch.chdir(REPO)
+        monkeypatch.delenv("VITA_GAZETTEER", raising=False)
+        assert main([*command, "tests/fixtures/broken-gazetteer.vita"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.encode() == (FIXTURES / "broken-gazetteer.stderr").read_bytes()
+
+    def test_entries_built_only_for_places_used(self, tmp_path, monkeypatch, capsys):
+        rows = (f"p{i:04d}\tPlace {i}\t{i % 90}.5\t{i % 180}.25\tNowhere\n" for i in range(2000))
+        (tmp_path / "gazetteer.tsv").write_text("".join(rows), encoding="utf-8")
+        source = OK_VITA.replace("place = home", "place = p0007").replace(
+            "place = away", "place = p1999"
+        )
+        # P1000 is asked for by its folded key, p1000.
+        path = tmp_path / "three.vita"
+        path.write_text(
+            source + "\n[event]\nid = last\nkind = visit\nstart = 1965\nplace = P1000\n",
+            encoding="utf-8",
+        )
+        built = []
+
+        def counting_point(*args):
+            built.append(args)
+            return GeoPoint(*args)
+
+        monkeypatch.setattr(gazetteer, "GeoPoint", counting_point)
+        assert main(["stats", str(path)]) == 0
+        assert "distinct_place_count: 3" in capsys.readouterr().out
+        assert len(built) <= 3
+
+
 class TestOutputs:
     def test_compile_matches_golden(self, newton_path, tmp_path, capsys):
         out = tmp_path / "newton.kml"
@@ -301,3 +344,17 @@ def test_module_entry_point(newton_path, tmp_path):
     )
     assert result.returncode == 0
     assert "span: 1643..1727" in result.stdout
+
+
+def test_cli_import_skips_urllib_request(tmp_path):
+    # Only geocode needs urllib.request; every other command starts without it.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, vitamap.cli; print('urllib.request' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0
+    assert result.stdout == "False\n"

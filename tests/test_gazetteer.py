@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vitamap.gazetteer import (
     GazetteerEntry,
@@ -28,9 +28,9 @@ def make_event(**kw):
     return LifeEvent(**kw)
 
 
-def errors_of(source: str):
+def errors_of(source: str, keys=None):
     with pytest.raises(GazetteerParseError) as excinfo:
-        load_gazetteer(source)
+        load_gazetteer(source, keys)
     return excinfo.value.diagnostics
 
 
@@ -82,6 +82,70 @@ class TestLoadGazetteer:
         rebuilt = "".join(gazetteer_row(e) + "\n" for e in entries.values())
         assert rebuilt == source
         assert load_gazetteer(rebuilt) == entries
+
+
+# Generated gazetteers: valid rows mixed with rows broken in each way the
+# loader reports. Keys come from a small pool, so that duplicates, and
+# keys whose first row was broken, both occur.
+_KEY_POOL = ["giza", "luxor", "aswan", "qau-el-kebir", "turin", "biella"]
+_pool_keys = st.sampled_from(_KEY_POOL)
+_latitudes = st.floats(min_value=-90.0, max_value=90.0).map(repr)
+_longitudes = st.floats(min_value=-180.0, max_value=180.0, exclude_min=True).map(repr)
+_bad_coordinates = st.sampled_from(["north", "", "nan", "inf", "-inf", "90.5", "-180.0", "1e3"])
+_valid_rows = st.tuples(_pool_keys, _latitudes, _longitudes)
+_broken_rows = st.one_of(
+    st.tuples(_pool_keys, _latitudes | _bad_coordinates, _longitudes | _bad_coordinates).map(
+        lambda r: f"{r[0]}\tName\t{r[1]}\t{r[2]}\tRegion"
+    ),
+    _pool_keys.map(lambda k: f"{k}\tName\t1.0\t2.0"),
+    _pool_keys.map(lambda k: f"{k}\t\t1.0\t2.0\tRegion"),
+    _pool_keys.map(lambda k: f"{k.upper()}\tName\t1.0\t2.0\tRegion"),
+    st.just("a\tb\tc\td\te\tf"),
+)
+_skipped_rows = st.sampled_from(["", "# comment", "  \t "])
+_gazetteer_sources = (
+    st.tuples(
+        st.lists(_valid_rows, max_size=6, unique_by=lambda r: r[0]).map(
+            lambda rows: [f"{k}\tName {k}\t{lat}\t{lon}\tRegion" for k, lat, lon in rows]
+        ),
+        st.one_of(st.just([]), st.lists(_broken_rows, min_size=1, max_size=3)),
+        st.lists(_skipped_rows, max_size=2),
+    )
+    .flatmap(lambda parts: st.permutations(parts[0] + parts[1] + parts[2]))
+    .flatmap(
+        lambda rows: st.lists(
+            st.sampled_from(["\n", "\r\n"]), min_size=len(rows), max_size=len(rows)
+        ).map(lambda ends: "".join(row + end for row, end in zip(rows, ends)))
+    )
+)
+_key_sets = st.sets(st.sampled_from([*_KEY_POOL, "atlantis"]))
+
+
+class TestLoadGazetteerKeys:
+    def test_keys_select_entries_in_file_order(self):
+        source = (
+            "aswan\tAswan\t24.0889\t32.8998\tEgypt\n"
+            + GIZA_ROW
+            + "\nluxor\tLuxor\t25.6872\t32.6396\tEgypt\n"
+        )
+        entries = load_gazetteer(source, {"luxor", "atlantis", "aswan"})
+        assert list(entries) == ["aswan", "luxor"]
+        assert entries["luxor"] == load_gazetteer(source)["luxor"]
+
+    def test_unused_rows_are_still_checked(self):
+        diags = errors_of(GIZA_ROW + "\nspare\tSpare\tnan\t0.0\t\n", {"giza"})
+        assert [(d.line, d.message) for d in diags] == [(2, "latitude out of range")]
+
+    @settings(max_examples=300)
+    @given(_gazetteer_sources, _key_sets)
+    def test_keys_filter_the_full_load(self, source, keys):
+        try:
+            full = load_gazetteer(source)
+        except GazetteerParseError as exc:
+            assert errors_of(source, keys) == exc.diagnostics
+            return
+        subset = load_gazetteer(source, keys)
+        assert list(subset.items()) == [(k, e) for k, e in full.items() if k in keys]
 
 
 class TestNormalizeKey:
