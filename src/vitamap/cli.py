@@ -5,9 +5,10 @@ it parses the input, reports validation findings, loads the gazetteer,
 calls the subcommand's formatter ``(args, biography, gazetteer) -> str``
 and writes the result; ``validate`` stops after the parse-and-validate
 step. The formatters render from the single order-and-resolve stage,
-:func:`vitamap.geo.itinerary_stops`. A finding about an event, an
-unresolvable place included, points at the ``[event]`` header line of
-the first event with that id.
+:func:`vitamap.geo.itinerary_stops`. Each finding arrives located by
+the code that found it (parser, gazetteer loader, validator or place
+resolution); :func:`_report` only renders it. A warning about the whole
+route, such as a box across the antimeridian, points at the first event.
 
 Exit codes follow one discipline across all subcommands: 0 success,
 1 domain failure (validation or place resolution), 2 usage or I/O
@@ -33,6 +34,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Callable
 from functools import partial
 from pathlib import Path
@@ -50,7 +52,7 @@ from .gazetteer import (
     remote_resolve,
 )
 from .geo import build_itinerary, route_stats
-from .model import Biography, ParseDiagnostic, fold_key, validate_biography
+from .model import Biography, Diagnostic, fold_key, split_lines, validate_biography
 from .vita import VitaParseError, parse_biography
 
 EXIT_OK = 0
@@ -159,11 +161,15 @@ def main(argv: list[str] | None = None) -> int:
 def _run(formatter: Formatter, args: argparse.Namespace) -> None:
     input_path, biography = _parse_and_validate(args)
     gazetteer = _load_gazetteer_for(args, biography, input_path)
-    try:
-        text = formatter(args, biography, gazetteer)
-    except UnknownPlace as exc:
-        line = _header_lines(biography)[exc.event_id]
-        raise _CliFailure(EXIT_DOMAIN, f"error {input_path}:{line} {exc}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            text = formatter(args, biography, gazetteer)
+        except UnknownPlace as exc:
+            _fail(input_path, [Diagnostic("error", exc.event_id, str(exc), exc.line)])
+    found = [Diagnostic("warning", None, str(w.message), biography.events[0].line) for w in caught]
+    if _report(input_path, found, args.strict):
+        raise _CliFailure(EXIT_DOMAIN)
     _write_output(text, args.output)
 
 
@@ -172,31 +178,26 @@ def _read_text(path: Path, what: str) -> str:
         data = path.read_bytes()
     except OSError as exc:
         raise _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {exc.strerror or exc}")
-    # Universal newlines, as in text-mode reading: CRLF and a lone CR end a line.
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise _CliFailure(
-            EXIT_USAGE, f"error {path}:{line} {what} is not valid UTF-8 ({exc.reason})"
-        )
+        line = len(split_lines(data[: exc.start].decode("utf-8")))
+        message = f"{what} is not valid UTF-8 ({exc.reason})"
+        _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
     # Tolerate a leading BOM from Windows editors.
     return text.removeprefix("\ufeff")
 
 
-def _fail(path: Path, diagnostics: list[ParseDiagnostic]) -> NoReturn:
+def _report(path: Path, diagnostics: list[Diagnostic], strict: bool = False) -> bool:
+    """Print each finding; True if they stop the run (an error, or any when strict)."""
     for d in diagnostics:
-        print(f"error {path}:{d.line} {d.message}", file=sys.stderr)
-    raise _CliFailure(EXIT_DOMAIN)
+        print(f"{d.severity} {path}:{d.line} {d.message}", file=sys.stderr)
+    return any(strict or d.severity == "error" for d in diagnostics)
 
 
-def _header_lines(biography: Biography) -> dict[str, int | None]:
-    """The ``[event]`` header line of the first event with each id."""
-    lines: dict[str, int | None] = {}
-    for event in biography.events:
-        lines.setdefault(event.id, event.line)
-    return lines
+def _fail(path: Path, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) -> NoReturn:
+    _report(path, diagnostics)
+    raise _CliFailure(code)
 
 
 def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
@@ -205,12 +206,7 @@ def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
         biography = parse_biography(_read_text(path, "input"))
     except VitaParseError as exc:
         _fail(path, exc.diagnostics)
-    header_line = _header_lines(biography)
-    failed = False
-    for d in validate_biography(biography, base_dir=path.parent):
-        print(f"{d.severity} {path}:{header_line[d.event_id]} {d.message}", file=sys.stderr)
-        failed = failed or d.severity == "error" or (args.strict and d.severity == "warning")
-    if failed:
+    if _report(path, validate_biography(biography, base_dir=path.parent), args.strict):
         raise _CliFailure(EXIT_DOMAIN)
     return path, biography
 

@@ -18,7 +18,7 @@ import json
 from collections.abc import Container
 from dataclasses import dataclass
 
-from .model import GeoPoint, LifeEvent, ParseDiagnostic, fold_key, is_token
+from .model import Diagnostic, GeoPoint, LifeEvent, fold_key, is_token, split_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,18 +34,26 @@ class GazetteerEntry:
 class GazetteerParseError(Exception):
     """Gazetteer file failure carrying all diagnostics."""
 
-    def __init__(self, diagnostics: list[ParseDiagnostic]):
+    def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = sorted(diagnostics, key=lambda d: (d.line, d.column))
         first = self.diagnostics[0]
         super().__init__(f"line {first.line}: {first.message}")
 
 
 class UnknownPlace(Exception):
-    """A place key that neither the event nor the gazetteer can resolve."""
+    """A place key that neither the event nor the gazetteer can resolve;
+    ``line`` is the event's ``[event]`` header line, when it has one."""
 
-    def __init__(self, key: str, event_id: str | None = None, reason: str | None = None):
+    def __init__(
+        self,
+        key: str,
+        event_id: str | None = None,
+        reason: str | None = None,
+        line: int | None = None,
+    ):
         self.key = key
         self.event_id = event_id
+        self.line = line
         message = reason or f"unknown place '{key}'"
         if event_id is not None:
             message += f" (event '{event_id}')"
@@ -69,52 +77,46 @@ def load_gazetteer(
     """
     # key -> (line, display_name, lat, lon, region)
     rows: dict[str, tuple[int, str, float, float, str]] = {}
-    diags: list[ParseDiagnostic] = []
+    diags: list[Diagnostic] = []
 
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    def reject(message: str) -> None:  # the row at ``lineno``
+        diags.append(Diagnostic("error", None, message, lineno, 1))
+
+    for lineno, line in enumerate(split_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         columns = line.split("\t")
         if len(columns) != 5:
-            diags.append(
-                ParseDiagnostic(
-                    lineno, 1, f"expected 5 tab-separated columns, got {len(columns)}"
-                )
-            )
+            reject(f"expected 5 tab-separated columns, got {len(columns)}")
             continue
         key, display_name, lat_text, lon_text, region = columns
         if not is_token(key):
-            diags.append(ParseDiagnostic(lineno, 1, f"invalid key '{key}'"))
+            reject(f"invalid key '{key}'")
             continue
         first = rows.get(key)
         if first is not None:
-            diags.append(
-                ParseDiagnostic(
-                    lineno, 1, f"duplicate key '{key}' (first defined on line {first[0]})"
-                )
-            )
+            reject(f"duplicate key '{key}' (first defined on line {first[0]})")
             continue
         if not display_name:
-            diags.append(ParseDiagnostic(lineno, 1, "empty display_name"))
+            reject("empty display_name")
             continue
         try:
             lat = float(lat_text)
         except ValueError:
-            diags.append(ParseDiagnostic(lineno, 1, f"unparsable latitude '{lat_text}'"))
+            reject(f"unparsable latitude '{lat_text}'")
             continue
         try:
             lon = float(lon_text)
         except ValueError:
-            diags.append(ParseDiagnostic(lineno, 1, f"unparsable longitude '{lon_text}'"))
+            reject(f"unparsable longitude '{lon_text}'")
             continue
         # NaN is out of range too. Unlike GeoPoint, which normalizes an
         # out-of-range longitude, the gazetteer rejects it.
         if not -90.0 <= lat <= 90.0:
-            diags.append(ParseDiagnostic(lineno, 1, "latitude out of range"))
+            reject("latitude out of range")
             continue
         if not -180.0 < lon <= 180.0:
-            diags.append(ParseDiagnostic(lineno, 1, "longitude out of range"))
+            reject("longitude out of range")
             continue
         rows[key] = (lineno, display_name, lat, lon, region)
 
@@ -154,8 +156,8 @@ def normalize_key(name: str) -> str:
 def resolve(event: LifeEvent, gazetteer: dict[str, GazetteerEntry]) -> GeoPoint:
     """Resolve an event's location: inline point wins, else gazetteer.
 
-    Raises UnknownPlace (carrying the event id) when neither path
-    yields a point.
+    Raises UnknownPlace (carrying the event id and header line) when
+    neither path yields a point.
     """
     if event.point is not None:
         return event.point
@@ -163,7 +165,7 @@ def resolve(event: LifeEvent, gazetteer: dict[str, GazetteerEntry]) -> GeoPoint:
     key = fold_key(event.place_key)  # never empty: LifeEvent refuses such keys
     entry = gazetteer.get(key)
     if entry is None:
-        raise UnknownPlace(key, event_id=event.id)
+        raise UnknownPlace(key, event_id=event.id, line=event.line)
     return entry.point
 
 

@@ -42,6 +42,11 @@ def fold_key(name: str) -> str:
     return _SEPARATOR_RUN_RE.sub("-", name.lower()).strip("-")
 
 
+def split_lines(text: str) -> list[str]:
+    """Split text into lines: LF, CRLF and a lone CR each end a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 # ---------------------------------------------------------------------------
 # Coordinates
 
@@ -236,20 +241,20 @@ class ItineraryLeg:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """A validation finding attached to an event."""
+    """A finding, located by the code that found it: the event it is
+    about (None for one in source text), and its 1-based line and column
+    in that text (None where unknown, as for events built directly)."""
 
     severity: str  # "error" or "warning"
-    event_id: str
+    event_id: str | None
     message: str
+    line: int | None = None
+    column: int | None = None
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    """A parse finding located in source text (1-based line and column)."""
-
-    line: int
-    column: int
-    message: str
+def ParseDiagnostic(line: int, column: int, message: str) -> Diagnostic:  # noqa: N802
+    """A parse finding: an error at a line and column of source text."""
+    return Diagnostic("error", None, message, line, column)
 
 
 class InvalidBiographyError(Exception):
@@ -270,46 +275,43 @@ def validate_biography(
     interval end before start (error, re-checked defensively), overlap
     with an earlier residence for residence events (warning), start date
     earlier than the previous event's (warning), and, when base_dir is
-    given, attachment files missing relative to it (warning). The result
-    is deterministic for identical inputs.
+    given, attachment files missing relative to it (warning). Each
+    diagnostic carries the ``[event]`` header line of the first event
+    with its id (None for events built directly). The result is
+    deterministic for identical inputs.
     """
     out: list[Diagnostic] = []
-    seen_ids: set[str] = set()
+    header_lines: dict[str, int | None] = {}  # id -> header line of its first event
     residences: list[tuple[str, int, int]] = []  # (id, start day, end day)
     prev_start: int | None = None
     base = Path(base_dir) if base_dir is not None else None
 
     for event in biography.events:
-        if event.id in seen_ids:
-            out.append(Diagnostic("error", event.id, f"duplicate event id '{event.id}'"))
-        seen_ids.add(event.id)
+        duplicate = event.id in header_lines
+        line = header_lines.setdefault(event.id, event.line)
+        if duplicate:
+            out.append(Diagnostic("error", event.id, f"duplicate event id '{event.id}'", line))
 
         start_day = to_day_number(event.when.start)
         end_day = to_day_number(event.when.end)
         if end_day < start_day:
-            out.append(Diagnostic("error", event.id, "interval end precedes start"))
+            out.append(Diagnostic("error", event.id, "interval end precedes start", line))
 
         if event.kind == "residence":
             for earlier_id, earlier_start, earlier_end in residences:
                 if start_day <= earlier_end and earlier_start <= end_day:
-                    out.append(
-                        Diagnostic(
-                            "warning",
-                            event.id,
-                            f"overlapping residences: '{earlier_id}' and '{event.id}'",
-                        )
-                    )
+                    message = f"overlapping residences: '{earlier_id}' and '{event.id}'"
+                    out.append(Diagnostic("warning", event.id, message, line))
             residences.append((event.id, start_day, end_day))
 
         if prev_start is not None and start_day < prev_start:
-            out.append(Diagnostic("warning", event.id, "event out of chronological order"))
+            out.append(Diagnostic("warning", event.id, "event out of chronological order", line))
         prev_start = start_day
 
         if base is not None:
             for attachment in event.attachments:
                 if not (base / attachment).exists():
-                    out.append(
-                        Diagnostic("warning", event.id, f"missing attachment file '{attachment}'")
-                    )
+                    message = f"missing attachment file '{attachment}'"
+                    out.append(Diagnostic("warning", event.id, message, line))
 
     return out

@@ -36,12 +36,14 @@ from .model import (
     Biography,
     CalendarDate,
     DateInterval,
+    Diagnostic,
     EVENT_KINDS,
     GeoPoint,
     LifeEvent,
     ParseDiagnostic,
     days_in_month,
     is_token,
+    split_lines,
 )
 
 _ASCII_WS = " \t\r\f\v"
@@ -56,7 +58,7 @@ _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?\Z")
 class VitaParseError(Exception):
     """Parse failure carrying all diagnostics, sorted by (line, column)."""
 
-    def __init__(self, diagnostics: list[ParseDiagnostic]):
+    def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = sorted(diagnostics, key=lambda d: (d.line, d.column))
         first = self.diagnostics[0]
         super().__init__(f"{first.line}:{first.column}: {first.message}")
@@ -102,7 +104,7 @@ def parse_biography(source: str) -> Biography:
     Raises VitaParseError with every diagnostic found; any text yields
     either a Biography or at least one diagnostic, never a crash.
     """
-    diags: list[ParseDiagnostic] = []
+    diags: list[Diagnostic] = []
     events: list[LifeEvent] = []
     bio_block: _Block | None = None
     current: _Block | None = None
@@ -124,9 +126,8 @@ def parse_biography(source: str) -> Biography:
                 events.append(event)
             current = None
 
-    lines = source.split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    lines = split_lines(source)
+    for lineno, line in enumerate(lines, start=1):
         cut = line.find("#")
         content = line if cut < 0 else line[:cut]
         stripped = content.strip(_ASCII_WS)
@@ -214,8 +215,12 @@ def _value_column(content: str, eq: int) -> int:
     return eq + 1
 
 
+def _at(pair: tuple[str, int, int], message: str) -> Diagnostic:  # at a (value, line, column)
+    return ParseDiagnostic(pair[1], pair[2], message)
+
+
 def _finish_biography(
-    block: _Block, diags: list[ParseDiagnostic]
+    block: _Block, diags: list[Diagnostic]
 ) -> tuple[str | None, str | None, str | None]:
     title = block.pairs.get("title")
     bio_id = block.pairs.get("id")
@@ -225,11 +230,9 @@ def _finish_biography(
     if bio_id is None:
         diags.append(ParseDiagnostic(block.header_line, 1, "missing required key 'id'"))
     elif not is_token(bio_id[0]):
-        diags.append(
-            ParseDiagnostic(bio_id[1], bio_id[2], f"invalid biography id '{bio_id[0]}'")
-        )
+        diags.append(_at(bio_id, f"invalid biography id '{bio_id[0]}'"))
     if hint is not None and hint[0].startswith("/"):
-        diags.append(ParseDiagnostic(hint[1], hint[2], "gazetteer path must be relative"))
+        diags.append(_at(hint, "gazetteer path must be relative"))
     return (
         title[0] if title else None,
         bio_id[0] if bio_id else None,
@@ -237,7 +240,7 @@ def _finish_biography(
     )
 
 
-def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | None:
+def _finish_event(block: _Block, diags: list[Diagnostic]) -> LifeEvent | None:
     before = len(diags)
     pairs = block.pairs
 
@@ -245,13 +248,11 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
     if event_id is None:
         diags.append(ParseDiagnostic(block.header_line, 1, "event missing required key 'id'"))
     elif not is_token(event_id[0]):
-        diags.append(
-            ParseDiagnostic(event_id[1], event_id[2], f"invalid event id '{event_id[0]}'")
-        )
+        diags.append(_at(event_id, f"invalid event id '{event_id[0]}'"))
 
     kind = pairs.get("kind")
     if kind is not None and kind[0] not in EVENT_KINDS:
-        diags.append(ParseDiagnostic(kind[1], kind[2], f"unknown kind '{kind[0]}'"))
+        diags.append(_at(kind, f"unknown kind '{kind[0]}'"))
 
     start = pairs.get("start")
     start_interval = end_interval = None
@@ -261,13 +262,13 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
         try:
             start_interval = parse_date_expr(start[0])
         except ValueError as exc:
-            diags.append(ParseDiagnostic(start[1], start[2], str(exc)))
+            diags.append(_at(start, str(exc)))
     end = pairs.get("end")
     if end is not None:
         try:
             end_interval = parse_date_expr(end[0])
         except ValueError as exc:
-            diags.append(ParseDiagnostic(end[1], end[2], str(exc)))
+            diags.append(_at(end, str(exc)))
 
     when = None
     if start_interval is not None:
@@ -275,7 +276,7 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
             when = start_interval
         elif end_interval.end < start_interval.start:
             assert end is not None
-            diags.append(ParseDiagnostic(end[1], end[2], "interval end precedes start"))
+            diags.append(_at(end, "interval end precedes start"))
         else:
             when = DateInterval(
                 start_interval.start,
@@ -289,9 +290,7 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
     if (lat is None) != (lon is None):
         present = lat if lat is not None else lon
         assert present is not None
-        diags.append(
-            ParseDiagnostic(present[1], present[2], "lat and lon must be given together")
-        )
+        diags.append(_at(present, "lat and lon must be given together"))
     elif lat is not None and lon is not None:
         point = _parse_point(lat, lon, diags)
 
@@ -304,7 +303,7 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
         try:
             normalize_key(place[0])
         except UnknownPlace as exc:
-            diags.append(ParseDiagnostic(place[1], place[2], str(exc)))
+            diags.append(_at(place, str(exc)))
 
     for path, lineno, col in block.attachments:
         if path.startswith("/"):
@@ -333,7 +332,7 @@ def _finish_event(block: _Block, diags: list[ParseDiagnostic]) -> LifeEvent | No
 
 
 def _parse_point(
-    lat: tuple[str, int, int], lon: tuple[str, int, int], diags: list[ParseDiagnostic]
+    lat: tuple[str, int, int], lon: tuple[str, int, int], diags: list[Diagnostic]
 ) -> GeoPoint | None:
     values: list[float] = []
     for name, (text, lineno, col) in (("latitude", lat), ("longitude", lon)):
@@ -346,7 +345,7 @@ def _parse_point(
         return GeoPoint(values[0], values[1])
     except ValueError as exc:
         culprit = lat if "latitude" in str(exc) else lon
-        diags.append(ParseDiagnostic(culprit[1], culprit[2], str(exc).split(":")[0]))
+        diags.append(_at(culprit, str(exc).split(":")[0]))
         return None
 
 

@@ -5,11 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vitamap import gazetteer
 from vitamap.cli import main
@@ -164,6 +168,38 @@ class TestUnknownPlace:
         assert captured.err == f"error {path}:17 name normalizes to empty key: '---'\n"
 
 
+class TestFindingGoldens:
+    @pytest.mark.parametrize("name", ["broken-vita", "findings"])
+    def test_validate_matches_golden(self, monkeypatch, capsys, name):
+        # The path is relative to the repository root, as in the golden.
+        monkeypatch.chdir(REPO)
+        assert main(["validate", f"tests/fixtures/{name}.vita"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.encode() == (FIXTURES / f"{name}.stderr").read_bytes()
+
+
+class TestRouteWarning:
+    def test_located_at_first_event_header(self, workspace, capsys):
+        path = workspace / "wrap.vita"
+        path.write_text(
+            OK_VITA.replace("place = home", "lat = 1\nlon = -170").replace(
+                "place = away", "lat = 1\nlon = 170"
+            ),
+            encoding="utf-8",
+        )
+        assert main(["stats", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "lon -170.000000..170.000000" in captured.out
+        assert captured.err == (
+            f"warning {path}:6 points span more than 180 degrees of longitude; emitting "
+            "the full-width box instead of wrapping across the antimeridian\n"
+        )
+        out = workspace / "stats.txt"
+        assert main(["stats", str(path), "--strict", "-o", str(out)]) == 1
+        assert not out.exists()
+
+
 class TestUndecodableFiles:
     def test_non_utf8_input_is_located_usage_error(self, workspace, capsys):
         path = workspace / "latin1.vita"
@@ -172,6 +208,14 @@ class TestUndecodableFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error {path}:2 input is not valid UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_any_line_end_counts_one_line(self, workspace, capsys, newline):
+        path = workspace / "latin1.vita"
+        source = OK_VITA.encode("utf-8").replace(b"Tiny Life", b"Tiny \xff Life")
+        path.write_bytes(source.replace(b"\n", newline))
+        assert main(["compile", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error {path}:2 input is not valid UTF-8")
 
     def test_non_utf8_gazetteer_is_located_usage_error(self, workspace, capsys):
         gaz = workspace / "gazetteer.tsv"
@@ -358,3 +402,69 @@ def test_cli_import_skips_urllib_request(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "False\n"
+
+
+# Lines of the .vita grammar. A generated file is a well-formed skeleton
+# (a header, then events with id, start and place lines) with a
+# few lines inserted anywhere: grammar lines, valid or broken, free
+# text, or raw bytes. So many files get through the parser to
+# validation, resolution and formatting.
+_STARTS = ["start = 1900", "start = c.1905-06", "start = 1910-03-04", "start = 1890"]
+_PLACES = [
+    "place = home", "place = Away", "lat = 10.5\nlon = -170", "lat = -3\nlon = 170",
+    "place = atlantis",
+]
+_VITA_LINES = [
+    "[biography]", "[event]", "[places]", "title = Tiny", "id = tiny", "gazetteer = other.tsv",
+    "id = B", "start = 1890-02-29", "start = 19x0", "place = ---", "lat = 95", "lon = nan",
+    "kind = residence", "kind = visit", "kind = born", "end = 1930", "end = 1899",
+    "label = Home", "note = a < b & c", "attach = scans/x.jpg", "attach = /abs",
+    "colour = red", "no equals sign", "= value", "# comment", "",
+    "[event]\nid = e0\nstart = 1950\nplace = home",
+]
+_inserted_lines = st.one_of(
+    st.sampled_from(_VITA_LINES).map(str.encode),
+    st.text(max_size=16).map(str.encode),
+    st.binary(max_size=16),
+)
+
+
+@st.composite
+def _vita_files(draw) -> bytes:
+    lines = [b"[biography]", b"title = Tiny", b"id = tiny"]
+    for i in range(draw(st.integers(0, 4))):
+        lines.append(f"[event]\nid = e{i}".encode())
+        lines += [draw(st.sampled_from(pool)).encode() for pool in (_STARTS, _PLACES)]
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 20), _inserted_lines), max_size=3)):
+        lines.insert(at, line)
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return b"".join(line.replace(b"\n", newline) + newline for line in lines)
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("any-input")
+    (directory / "gazetteer.tsv").write_text(GAZ, encoding="utf-8")
+    return directory
+
+
+class TestAnyInput:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_vita_files())
+    def test_exit_code_and_located_stderr_only(self, property_dir, data):
+        path = property_dir / "any.vita"
+        path.write_bytes(data)
+        located = re.compile(rf"(error|warning) {re.escape(str(path))}:\d+ .+")
+        for command in ("validate", "compile", "stats"):
+            err = io.StringIO()
+            # A run outside the test harness prints any Python warning to
+            # stderr, unlocated; here it is recorded instead.
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+                warnings.simplefilter("always")
+                with redirect_stdout(io.StringIO()):
+                    code = main([command, str(path), "--gazetteer", str(property_dir / "gazetteer.tsv")])
+            assert code in (0, 1, 2)
+            assert [str(w.message) for w in caught] == []
+            lines = err.getvalue().split("\n")
+            assert lines.pop() == ""
+            assert [line for line in lines if not located.fullmatch(line)] == []

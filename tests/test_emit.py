@@ -43,7 +43,7 @@ from vitamap.model import (
     validate_biography,
 )
 
-from strategies import biographies
+from strategies import biographies, geo_points
 
 NS = {"kml": KML_NAMESPACE}
 
@@ -232,6 +232,35 @@ class TestEmitGeoJson:
     def test_deterministic(self):
         b = simple_biography(NEFERTARI)
         assert emit_geojson(b, GAZ) == emit_geojson(b, GAZ)
+
+    @settings(max_examples=150)
+    @given(biographies(), st.data())
+    def test_valid_for_any_biography(self, b, data):
+        keys = {normalize_key(e.place_key) for e in b.events if e.place_key is not None}
+        gazetteer = {k: GazetteerEntry(k, k, data.draw(geo_points)) for k in sorted(keys)}
+        features = json.loads(emit_geojson(b, gazetteer))["features"]
+        # Itinerary order: start day, end day, then authoring order.
+        order = sorted(range(len(b.events)), key=lambda i: (b.events[i].when.start, b.events[i].when.end, i))
+        assert len(features) == len(order)
+        for i, feature in zip(order, features):
+            e = b.events[i]
+            point = e.point or gazetteer[normalize_key(e.place_key)].point
+            assert feature["type"] == "Feature"
+            # RFC 7946 section 3.1.1: longitude first, then latitude.
+            assert feature["geometry"] == {
+                "type": "Point",
+                "coordinates": [float(f"{point.lon:.6f}"), float(f"{point.lat:.6f}")],
+            }
+            assert feature["properties"] == {
+                "id": e.id,
+                "label": e.label,
+                "kind": e.kind,
+                "start": e.when.start.isoformat(),
+                "end": e.when.end.isoformat(),
+                "circa": e.when.circa,
+                "note": e.note,
+                "attachments": list(e.attachments),
+            }
 
 
 class TestEmitItinerarium:

@@ -121,6 +121,14 @@ _gazetteer_sources = (
 _key_sets = st.sets(st.sampled_from([*_KEY_POOL, "atlantis"]))
 
 
+class TestLineEnds:
+    def test_lone_cr_equivalent_to_lf(self):
+        source = GIZA_ROW + "\nluxor\tLuxor\t25.6872\t32.6396\tEgypt\n"
+        assert load_gazetteer(source.replace("\n", "\r")) == load_gazetteer(source)
+        broken = source + "# comment\nspare\tSpare\tnan\t0.0\t\n"
+        assert errors_of(broken.replace("\n", "\r")) == errors_of(broken)
+
+
 class TestLoadGazetteerKeys:
     def test_keys_select_entries_in_file_order(self):
         source = (

@@ -19,6 +19,7 @@ from vitamap.geo import (
 )
 from vitamap.gazetteer import UnknownPlace, load_gazetteer
 from vitamap.model import Biography, CalendarDate, DateInterval, GeoPoint, LifeEvent
+from vitamap.vita import parse_biography
 
 
 def oracle_great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -171,6 +172,16 @@ class TestItinerary:
             build_itinerary(b, GAZ)
         assert excinfo.value.event_id == "a"
         assert excinfo.value.key == "atlantis"
+
+    def test_unknown_place_carries_its_header_line(self):
+        b = parse_biography(
+            "[biography]\ntitle = T\nid = t\n\n"
+            "[event]\nid = a\nstart = 1900\nplace = giza\n\n"
+            "[event]\nid = b\nstart = 1910\nplace = atlantis\n"
+        )
+        with pytest.raises(UnknownPlace) as excinfo:
+            build_itinerary(b, GAZ)
+        assert (excinfo.value.event_id, excinfo.value.line) == ("b", 10)
 
     def test_legs_carry_their_events(self):
         b = Biography(

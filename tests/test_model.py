@@ -27,6 +27,7 @@ from vitamap.model import (
     to_day_number,
     validate_biography,
 )
+from vitamap.vita import parse_biography
 
 EPOCH = date(1600, 1, 1)
 
@@ -295,6 +296,19 @@ class TestValidateBiography:
         assert validate_biography(b) == []  # without base_dir the check is skipped
         diags = validate_biography(b, base_dir=tmp_path)
         assert diags == [Diagnostic("warning", "a", "missing attachment file 'img/absent.pdf'")]
+
+    def test_parsed_events_locate_at_first_header(self):
+        b = parse_biography(
+            "[biography]\ntitle = T\nid = t\n\n"
+            "[event]\nid = home\nkind = residence\nstart = 1900\nend = 1920\nplace = a\n\n"
+            "[event]\nid = away\nkind = residence\nstart = 1910\nend = 1930\nplace = b\n\n"
+            "[event]\nid = home\nstart = 1880\nplace = a\n"
+        )
+        assert validate_biography(b) == [
+            Diagnostic("warning", "away", "overlapping residences: 'home' and 'away'", 12),
+            Diagnostic("error", "home", "duplicate event id 'home'", 5),
+            Diagnostic("warning", "home", "event out of chronological order", 5),
+        ]
 
     def test_pure_and_stable(self):
         b = Biography(

@@ -117,6 +117,13 @@ class TestParseBiography:
             NEWTON_MINIMAL
         )
 
+    def test_lone_cr_equivalent_to_lf(self):
+        cr = parse_biography(NEWTON_MINIMAL.replace("\n", "\r"))
+        assert cr == parse_biography(NEWTON_MINIMAL)
+        assert [e.line for e in cr.events] == [5]
+        broken = NEWTON_MINIMAL.replace("kind = birth", "kind = born") + "bogus = 1\n"
+        assert diagnostics_of(broken.replace("\n", "\r")) == diagnostics_of(broken)
+
     def test_end_defaults_to_start_expression(self):
         src = NEWTON_MINIMAL.replace("start = 1642", "start = 1642\nend = 1645")
         e = parse_biography(src).events[0]
