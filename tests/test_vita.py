@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,6 +215,180 @@ class TestParseBiography:
     def test_gazetteer_hint(self):
         src = NEWTON_MINIMAL.replace("id = newton", "id = newton\ngazetteer = places.tsv")
         assert parse_biography(src).gazetteer_hint == "places.tsv"
+
+
+BROKEN_VITA = Path(__file__).resolve().parent / "fixtures" / "broken-vita.vita"
+_KIND_AFTER_TABS = NEWTON_MINIMAL.replace("kind = birth", "kind =  born") + "\tbogus = 1\n"
+
+
+class TestDiagnosticColumns:
+    """Exact (line, column, message) of parse findings. The column is the
+    line's first non-blank character, or the value's first character, or
+    the ``=`` when the value is empty; blanks are ASCII space, tab, CR,
+    form feed and vertical tab."""
+
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            pytest.param(
+                BROKEN_VITA.read_text(encoding="utf-8"),
+                [
+                    (12, 1, "unknown key 'colour' in [event]"),
+                    (16, 9, "malformed date expression '19x0'"),
+                    (22, 7, "lat and lon must be given together"),
+                    (27, 9, "name normalizes to empty key: '---'"),
+                    (29, 1, "unknown block header '[places]'"),
+                ],
+                id="broken-vita-fixture",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "\tplce = x\n",
+                [(10, 2, "unknown key 'plce' in [event]")],
+                id="tab-before-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "   bogus = 1\n",
+                [(10, 4, "unknown key 'bogus' in [event]")],
+                id="spaces-before-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "\f\vbogus = 1\n",
+                [(10, 3, "unknown key 'bogus' in [event]")],
+                id="formfeed-vtab-before-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "\u00a0kind = birth\n",
+                [(10, 1, "unknown key '\u00a0kind' in [event]")],
+                id="nbsp-is-not-blank",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "\t[banana]\n",
+                [(10, 2, "unknown block header '[banana]'")],
+                id="tab-before-header",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "  [places]\nkey = value\n",
+                [(10, 3, "unknown block header '[places]'")],
+                id="spaces-before-header",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "\t[biography]\n",
+                [(10, 2, "duplicate [biography] block")],
+                id="duplicate-biography-header",
+            ),
+            pytest.param(
+                "[biography]\ntitle = T\nid = t\n\n   [event]\nkind = visit\n",
+                [
+                    (5, 1, "event missing required key 'id'"),
+                    (5, 1, "event missing required key 'start'"),
+                ],
+                id="missing-keys-at-indented-header",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "[]\n",
+                [(10, 1, "unknown block header '[]'")],
+                id="empty-header",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "[ event ]\n",
+                [(10, 1, "unknown block header '[ event ]'")],
+                id="blanks-inside-header",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "[\n",
+                [(10, 1, "expected 'key = value'")],
+                id="lone-bracket",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "[event] x\n",
+                [(10, 1, "expected 'key = value'")],
+                id="text-after-header",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "  just words\n",
+                [(10, 3, "expected 'key = value'")],
+                id="no-equals",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "= v\n",
+                [(10, 1, "expected 'key = value'")],
+                id="empty-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + " \t = v\n",
+                [(10, 4, "expected 'key = value'")],
+                id="blank-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "pla ce = x\n",
+                [(10, 1, "unknown key 'pla ce' in [event]")],
+                id="key-with-inner-space",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "end =\n",
+                [(10, 5, "empty value for key 'end'")],
+                id="empty-value",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "  end = \t \n",
+                [(10, 7, "empty value for key 'end'")],
+                id="blank-value",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("kind = birth", "kind =\t\tborn"),
+                [(7, 9, "unknown kind 'born'")],
+                id="value-after-tabs",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("place = woolsthorpe", "lat =\t95.0\nlon = 0"),
+                [(9, 7, "latitude out of range")],
+                id="point-value-after-tab",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("kind = birth", "kind = a = b"),
+                [(7, 8, "unknown kind 'a = b'")],
+                id="equals-in-value",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "\t place = again\n",
+                [(10, 3, "duplicate key 'place'")],
+                id="duplicate-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("kind = birth", "kind = born  # typo")
+                + "bogus = 1 # x\n",
+                [(7, 8, "unknown kind 'born'"), (10, 1, "unknown key 'bogus' in [event]")],
+                id="trailing-comment",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "pl#ace = x\n",
+                [(10, 1, "expected 'key = value'")],
+                id="comment-in-key",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "place # = x\n",
+                [(10, 1, "expected 'key = value'")],
+                id="comment-hides-equals",
+            ),
+            pytest.param(
+                "  stray = 1\n" + NEWTON_MINIMAL,
+                [(1, 1, "missing [biography] header")],
+                id="key-before-biography",
+            ),
+            pytest.param(
+                _KIND_AFTER_TABS.replace("\n", "\r\n"),
+                [(7, 9, "unknown kind 'born'"), (10, 2, "unknown key 'bogus' in [event]")],
+                id="crlf-line-ends",
+            ),
+            pytest.param(
+                _KIND_AFTER_TABS.replace("\n", "\r"),
+                [(7, 9, "unknown kind 'born'"), (10, 2, "unknown key 'bogus' in [event]")],
+                id="cr-line-ends",
+            ),
+        ],
+    )
+    def test_located_findings(self, source, expected):
+        assert [(d.line, d.column, d.message) for d in diagnostics_of(source)] == expected
 
 
 class TestSerialize:
