@@ -18,7 +18,15 @@ import json
 from collections.abc import Container
 from dataclasses import dataclass
 
-from .model import Diagnostic, GeoPoint, LifeEvent, fold_key, is_token, split_lines
+from .model import (
+    Diagnostic,
+    GeoPoint,
+    LifeEvent,
+    fold_key,
+    is_token,
+    parse_coordinate,
+    split_lines,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,12 +109,12 @@ def load_gazetteer(
             reject("empty display_name")
             continue
         try:
-            lat = float(lat_text)
+            lat = parse_coordinate(lat_text)
         except ValueError:
             reject(f"unparsable latitude '{lat_text}'")
             continue
         try:
-            lon = float(lon_text)
+            lon = parse_coordinate(lon_text)
         except ValueError:
             reject(f"unparsable longitude '{lon_text}'")
             continue

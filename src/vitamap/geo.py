@@ -22,7 +22,6 @@ from .model import (
     ItineraryLeg,
     LifeEvent,
     fold_key,
-    to_day_number,
 )
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
@@ -64,10 +63,7 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 def itinerary_order(biography: Biography) -> list[LifeEvent]:
     """Events sorted chronologically with the stable tie-break
     (start day, end day, authoring index)."""
-    return sorted(
-        biography.events,
-        key=lambda e: (to_day_number(e.when.start), to_day_number(e.when.end)),
-    )
+    return sorted(biography.events, key=lambda e: (e.when.start, e.when.end))
 
 
 def itinerary_stops(

@@ -51,6 +51,15 @@ def split_lines(text: str) -> list[str]:
 # Coordinates
 
 
+def parse_coordinate(text: str) -> float:
+    """Read a coordinate with float(), refusing the ``_`` digit separator
+    of Python literals: a mistyped ``2_9.9`` must not read as 29.9.
+    ``nan`` and ``inf`` pass; each caller's range check refuses them."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """WGS84 latitude/longitude in decimal degrees.
@@ -90,55 +99,33 @@ def days_in_month(year: int, month: int) -> int:
     return calendar.monthrange(year, month)[1]
 
 
+# A proleptic Gregorian calendar day, years 1..9999: the stdlib's own.
+CalendarDate = date
+
 _EPOCH_ORDINAL = date(1600, 1, 1).toordinal()
 
 
-@dataclass(frozen=True, order=True)
-class CalendarDate:
-    """A proleptic Gregorian calendar day. Years 1..9999."""
-
-    year: int
-    month: int
-    day: int
-
-    def __post_init__(self) -> None:
-        for name in ("year", "month", "day"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.year <= 9999:
-            raise ValueError(f"year out of range: {self.year}")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month out of range: {self.month}")
-        if not 1 <= self.day <= days_in_month(self.year, self.month):
-            raise ValueError(f"day out of range: {self.year:04d}-{self.month:02d}-{self.day:02d}")
-
-    def isoformat(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
-
-
-def to_day_number(d: CalendarDate) -> int:
+def to_day_number(d: date) -> int:
     """Day count with 1600-01-01 = 0; strictly monotone in calendar order."""
-    return date(d.year, d.month, d.day).toordinal() - _EPOCH_ORDINAL
+    return d.toordinal() - _EPOCH_ORDINAL
 
 
-def from_day_number(n: int) -> CalendarDate:
+def from_day_number(n: int) -> date:
     """Inverse of to_day_number over the valid date range."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"day number must be an integer, got {n!r}")
     ordinal = n + _EPOCH_ORDINAL
     if not 1 <= ordinal <= date.max.toordinal():
         raise ValueError(f"day number out of range: {n}")
-    d = date.fromordinal(ordinal)
-    return CalendarDate(d.year, d.month, d.day)
+    return date.fromordinal(ordinal)
 
 
 @dataclass(frozen=True)
 class DateInterval:
     """Inclusive [start, end] calendar-day interval with a circa flag."""
 
-    start: CalendarDate
-    end: CalendarDate
+    start: date
+    end: date
     circa: bool = False
 
     def __post_init__(self) -> None:

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from datetime import date
 
 from .gazetteer import UnknownPlace, normalize_key
 from .model import (
     Biography,
-    CalendarDate,
     DateInterval,
     Diagnostic,
     EVENT_KINDS,
@@ -43,6 +43,7 @@ from .model import (
     ParseDiagnostic,
     days_in_month,
     is_token,
+    parse_coordinate,
     split_lines,
 )
 
@@ -53,6 +54,17 @@ _EVENT_KEYS = ("id", "kind", "start", "end", "place", "lat", "lon", "label", "no
 _EMPTY_OK_KEYS = frozenset({"note", "label"})
 
 _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?\Z")
+
+# One line with its comment cut: blanks (ASCII only), then a ``[header]``,
+# a ``key = value`` pair (the key may be empty) or any other text as
+# ``body``, then blanks. ``body`` is None on a blank line.
+_LINE_RE = re.compile(
+    r"[ \t\r\f\v]*"
+    r"(?P<body>\[(?P<header>.*)\]"
+    r"|(?P<key>[^=]*?)[ \t\r\f\v]*(?P<eq>=)[ \t\r\f\v]*(?P<value>.*?)"
+    r"|.+?)?"
+    r"[ \t\r\f\v]*"
+)
 
 
 class VitaParseError(Exception):
@@ -77,17 +89,17 @@ def parse_date_expr(expr: str) -> DateInterval:
     if year < 1:
         raise ValueError(f"year out of range in '{expr}'")
     if m.group(3) is None:
-        return DateInterval(CalendarDate(year, 1, 1), CalendarDate(year, 12, 31), circa)
+        return DateInterval(date(year, 1, 1), date(year, 12, 31), circa)
     month = int(m.group(3))
     if not 1 <= month <= 12:
         raise ValueError(f"month out of range in '{expr}'")
     if m.group(4) is None:
-        last = days_in_month(year, month)
-        return DateInterval(CalendarDate(year, month, 1), CalendarDate(year, month, last), circa)
-    day = int(m.group(4))
-    if not 1 <= day <= days_in_month(year, month):
-        raise ValueError(f"day out of range in '{expr}'")
-    d = CalendarDate(year, month, day)
+        last = date(year, month, days_in_month(year, month))
+        return DateInterval(date(year, month, 1), last, circa)
+    try:
+        d = date(year, month, int(m.group(4)))
+    except ValueError:
+        raise ValueError(f"day out of range in '{expr}'") from None
     return DateInterval(d, d, circa)
 
 
@@ -128,15 +140,13 @@ def parse_biography(source: str) -> Biography:
 
     lines = split_lines(source)
     for lineno, line in enumerate(lines, start=1):
-        cut = line.find("#")
-        content = line if cut < 0 else line[:cut]
-        stripped = content.strip(_ASCII_WS)
-        if not stripped:
+        m = _LINE_RE.fullmatch(line.partition("#")[0])
+        if m["body"] is None:
             continue
-        col = _first_content_column(content)
+        col = m.start("body") + 1
 
-        if stripped.startswith("[") and stripped.endswith("]") and len(stripped) > 1:
-            name = stripped[1:-1]
+        name = m["header"]
+        if name is not None:
             finish_current_event()
             if name == "biography":
                 if bio_block is not None:
@@ -164,13 +174,12 @@ def parse_biography(source: str) -> Biography:
         if mode == "skip":
             continue
 
-        eq = content.find("=")
-        if eq < 0 or not content[:eq].strip(_ASCII_WS):
+        key = m["key"]
+        if not key:
             diags.append(ParseDiagnostic(lineno, col, "expected 'key = value'"))
             continue
-        key = content[:eq].strip(_ASCII_WS)
-        value = content[eq + 1 :].strip(_ASCII_WS)
-        value_col = _value_column(content, eq)
+        value = m["value"]
+        value_col = m.start("value" if value else "eq") + 1
 
         block = bio_block if mode == "biography" else current
         known = _BIOGRAPHY_KEYS if mode == "biography" else _EVENT_KEYS
@@ -201,18 +210,6 @@ def parse_biography(source: str) -> Biography:
         raise VitaParseError(diags)
     assert title is not None and bio_id is not None
     return Biography(title=title, id=bio_id, events=tuple(events), gazetteer_hint=hint)
-
-
-def _first_content_column(content: str) -> int:
-    return len(content) - len(content.lstrip(_ASCII_WS)) + 1
-
-
-def _value_column(content: str, eq: int) -> int:
-    rest = content[eq + 1 :]
-    offset = len(rest) - len(rest.lstrip(_ASCII_WS))
-    if rest.strip(_ASCII_WS):
-        return eq + 2 + offset
-    return eq + 1
 
 
 def _at(pair: tuple[str, int, int], message: str) -> Diagnostic:  # at a (value, line, column)
@@ -337,7 +334,7 @@ def _parse_point(
     values: list[float] = []
     for name, (text, lineno, col) in (("latitude", lat), ("longitude", lon)):
         try:
-            values.append(float(text))
+            values.append(parse_coordinate(text))
         except ValueError:
             diags.append(ParseDiagnostic(lineno, col, f"invalid {name} '{text}'"))
             return None

@@ -58,6 +58,13 @@ class TestLoadGazetteer:
         diags = errors_of("x\tX\tnorth\t0.0\t\n")
         assert any("unparsable latitude" in d.message for d in diags)
 
+    def test_underscore_in_coordinate_refused(self):
+        # float() reads "2_9.9" as 29.9; a coordinate must not.
+        diags = errors_of("giza\tGiza\t2_9.9\t31\tEgypt\n")
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (1, 1, "unparsable latitude '2_9.9'")
+        ]
+
     def test_wrong_column_count(self):
         diags = errors_of("x\tX\t0.0\t0.0\n")
         assert any("expected 5 tab-separated columns" in d.message for d in diags)

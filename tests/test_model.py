@@ -170,6 +170,11 @@ class TestCalendar:
         with pytest.raises(ValueError):
             from_day_number(4_000_000)
 
+    def test_dates_are_stdlib_dates(self):
+        assert CalendarDate is date
+        assert type(from_day_number(0)) is date
+        assert from_day_number(0) == date(1600, 1, 1)
+
     def test_isoformat_pads(self):
         assert CalendarDate(850, 2, 3).isoformat() == "0850-02-03"
 

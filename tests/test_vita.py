@@ -149,6 +149,13 @@ class TestParseBiography:
         src = NEWTON_MINIMAL.replace("place = woolsthorpe", "lat = 95.0\nlon = 0.0")
         assert any("latitude out of range" in d.message for d in diagnostics_of(src))
 
+    def test_underscore_in_coordinate_refused(self):
+        # float() reads "4_5" as 45; a coordinate must not.
+        src = NEWTON_MINIMAL.replace("place = woolsthorpe", "lat =  4_5\nlon = 1")
+        assert [(d.line, d.column, d.message) for d in diagnostics_of(src)] == [
+            (9, 8, "invalid latitude '4_5'")
+        ]
+
     def test_duplicate_key(self):
         src = NEWTON_MINIMAL + "place = again\n"
         assert any("duplicate key 'place'" in d.message for d in diagnostics_of(src))
