@@ -42,6 +42,7 @@ from vitamap.model import (
     to_day_number,
     validate_biography,
 )
+from vitamap.vita import parse_biography
 
 from strategies import biographies, geo_points
 
@@ -379,6 +380,21 @@ class TestDistanceMatrix:
             ]
             writer.writerow([label, *cells])
         assert distance_matrix(b, gazetteer) == expected.getvalue()
+
+    def test_quoted_labels_frozen(self):
+        # A keyed label holding '"' and ',' and an inline-only "lat,lon"
+        # label both need CSV quoting, in the header and at each row start.
+        b = parse_biography(
+            "[biography]\ntitle = Quoting\nid = q\n\n"
+            "[event]\nid = a\nkind = residence\nstart = 1900\n"
+            'place = O"Brien, Jr\nlat = 1\nlon = 2\n\n'
+            "[event]\nid = b\nkind = visit\nstart = 1901\nlat = 3\nlon = 4\n"
+        )
+        assert distance_matrix(b, {}) == (
+            'place,"o""brien,-jr","3.000000,4.000000"\n'
+            '"o""brien,-jr",0.000,314.403\n'
+            '"3.000000,4.000000",314.403,0.000\n'
+        )
 
 
 class TestDirectlyBuiltPlaceKeys:

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vitamap.geo import (
     EARTH_RADIUS_KM,
@@ -45,6 +45,47 @@ def event(id: str, year: int, place: str | None = None, point: GeoPoint | None =
     return LifeEvent(id=id, kind="other", when=interval(year), place_key=place, point=point, **kw)
 
 
+def reference_haversine_km(a: GeoPoint, b: GeoPoint) -> float:
+    # The haversine kernel as first written, kept verbatim: the kernel in
+    # vitamap.geo must return these exact bits.
+    lat1 = math.radians(a.lat)
+    lat2 = math.radians(b.lat)
+    dlat = math.radians(b.lat - a.lat)
+    dlon = math.radians(b.lon - a.lon)
+    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    h = min(1.0, max(0.0, h))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+
+
+edge_lats = st.one_of(
+    st.sampled_from([90.0, -90.0, 0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]),
+    st.floats(min_value=-1e-290, max_value=1e-290),  # subnormals included
+    st.floats(min_value=-90.0, max_value=90.0),
+)
+edge_lons = st.one_of(
+    st.sampled_from([180.0, math.nextafter(-180.0, 0.0), 0.0, -0.0, 5e-324]),
+    st.floats(min_value=-180.0, max_value=540.0),
+)
+edge_points = st.builds(GeoPoint, lat=edge_lats, lon=edge_lons)
+
+
+@st.composite
+def edge_point_pairs(draw) -> tuple[GeoPoint, GeoPoint]:
+    """Two points: independent, identical, or antipodal (exactly or
+    within a hair)."""
+    a = draw(edge_points)
+    shape = draw(st.sampled_from(["independent", "identical", "antipodal", "near-antipodal"]))
+    if shape == "independent":
+        return a, draw(edge_points)
+    if shape == "identical":
+        return a, GeoPoint(a.lat, a.lon)
+    b = GeoPoint(-a.lat, a.lon + 180.0)
+    if shape == "near-antipodal":
+        nudge = draw(st.floats(min_value=-1e-7, max_value=1e-7))
+        b = GeoPoint(max(-90.0, min(90.0, b.lat + nudge)), b.lon - nudge)
+    return a, b
+
+
 points = st.builds(
     GeoPoint,
     lat=st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),
@@ -66,6 +107,13 @@ class TestHaversine:
         d = haversine_km(GeoPoint(0, 0), GeoPoint(0, 1))
         assert d == pytest.approx(math.pi * EARTH_RADIUS_KM / 180.0, abs=1e-9)
         assert d == pytest.approx(111.195, abs=0.001)
+
+    @settings(max_examples=500)
+    @given(edge_point_pairs())
+    def test_bit_identical_to_reference_formula(self, pair):
+        a, b = pair
+        assert haversine_km(a, b) == reference_haversine_km(a, b)
+        assert haversine_km(b, a) == reference_haversine_km(b, a)
 
     @given(points, points)
     def test_symmetry_exact(self, a, b):
