@@ -298,6 +298,10 @@ def distance_matrix(
     triangle; a row reads its cells left of the diagonal back from the
     rows above. So the diagonal is 0.000 and the matrix is exactly
     symmetric.
+
+    Labels are quoted as csv.writer quotes them, in the header and at
+    the start of each row. The cells never need quoting, so each row's
+    cells are written by one ``%.3f`` template, built once.
     """
     labels: list[str] = []
     points: list[GeoPoint] = []
@@ -310,17 +314,25 @@ def distance_matrix(
         labels.append(identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}")
         points.append(point)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["place", *labels])
+    quoted = [_csv_field(label) for label in labels]
+    template = ",".join(["%.3f"] * len(points))
+    rows = [",".join(["place", *quoted]) + "\n"]
     # Cell (j, i) with j < i is upper[row_start[j] + i]; doubles in an
     # array take 8 bytes a cell, a list of floats 32.
     upper = array("d")
     row_start: list[int] = []
-    for i, (label, a) in enumerate(zip(labels, points)):
+    for i, (label, a) in enumerate(zip(quoted, points)):
         right = [haversine_km(a, b) for b in points[i + 1 :]]
         left = [upper[start + i] for start in row_start]
         row_start.append(len(upper) - i - 1)
         upper.extend(right)
-        writer.writerow([label, *[f"{d:.3f}" for d in (*left, 0.0, *right)]])
-    return buffer.getvalue()
+        rows.append(f"{label},{template % (*left, 0.0, *right)}\n")
+    return "".join(rows)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a ``csv.writer(lineterminator="\\n")`` row writes one
+    field: quoted, with ``"`` doubled, where that writer quotes it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]

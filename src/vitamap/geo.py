@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from math import asin, cos, sin, sqrt
 
 from .gazetteer import GazetteerEntry, resolve
 from .model import (
@@ -25,6 +26,10 @@ from .model import (
 )
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
+
+_RADIAN = math.pi / 180.0  # math.radians(x) is x * (pi / 180)
+_HALF_RADIAN = _RADIAN / 2.0
+_DIAMETER_KM = 2.0 * EARTH_RADIUS_KM
 
 
 @dataclass(frozen=True)
@@ -50,14 +55,25 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
     Symmetric by construction; the arc term is clamped to [0, 1] so
     antipodal pairs cannot wander out of asin's domain.
+
+    Degrees become radians by one multiplication with ``_RADIAN``, the
+    same ``pi / 180`` that ``math.radians`` multiplies by, so each
+    product has the bits ``math.radians`` gives. Halving is exact, so
+    ``x * _HALF_RADIAN`` is ``math.radians(x) / 2`` except in the
+    subnormal range, where its squared sine is 0 either way. The result
+    is therefore bit-identical to the textbook ``math.radians`` form.
     """
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    lat1 = a.lat * _RADIAN
+    lat2 = b.lat * _RADIAN
+    h = (
+        sin((b.lat - a.lat) * _HALF_RADIAN) ** 2
+        + cos(lat1) * cos(lat2) * sin((b.lon - a.lon) * _HALF_RADIAN) ** 2
+    )
+    if h > 1.0:
+        h = 1.0
+    elif not h > 0.0:  # as max(0.0, h): -0.0 and NaN become 0.0 too
+        h = 0.0
+    return _DIAMETER_KM * asin(sqrt(h))
 
 
 def itinerary_order(biography: Biography) -> list[LifeEvent]:

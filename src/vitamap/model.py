@@ -52,10 +52,12 @@ def split_lines(text: str) -> list[str]:
 
 
 def parse_coordinate(text: str) -> float:
-    """Read a coordinate with float(), refusing the ``_`` digit separator
-    of Python literals: a mistyped ``2_9.9`` must not read as 29.9.
+    """Read a coordinate with float(), refusing what float() accepts
+    beyond ASCII decimal text: the ``_`` digit separator of Python
+    literals (a mistyped ``2_9.9`` must not read as 29.9) and any
+    non-ASCII character, so ``١٢.٥`` in Arabic-Indic digits is not 12.5.
     ``nan`` and ``inf`` pass; each caller's range check refuses them."""
-    if "_" in text:
+    if "_" in text or not text.isascii():
         raise ValueError(f"could not convert string to float: {text!r}")
     return float(text)
 

@@ -53,7 +53,7 @@ _BIOGRAPHY_KEYS = ("title", "id", "gazetteer")
 _EVENT_KEYS = ("id", "kind", "start", "end", "place", "lat", "lon", "label", "note", "attach")
 _EMPTY_OK_KEYS = frozenset({"note", "label"})
 
-_DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?\Z")
+_DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?\Z")
 
 # One line with its comment cut: blanks (ASCII only), then a ``[header]``,
 # a ``key = value`` pair (the key may be empty) or any other text as

@@ -65,6 +65,15 @@ class TestLoadGazetteer:
             (1, 1, "unparsable latitude '2_9.9'")
         ]
 
+    def test_non_ascii_digits_in_coordinate_refused(self):
+        # float() reads Arabic-Indic "٢٩.٩" as 29.9 and fullwidth "３１" as
+        # 31; the gazetteer grammar is ASCII.
+        diags = errors_of("giza\tGiza\t٢٩.٩\t31\tEgypt\nluxor\tLuxor\t25\t３１\tEgypt\n")
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (1, 1, "unparsable latitude '٢٩.٩'"),
+            (2, 1, "unparsable longitude '３１'"),
+        ]
+
     def test_wrong_column_count(self):
         diags = errors_of("x\tX\t0.0\t0.0\n")
         assert any("expected 5 tab-separated columns" in d.message for d in diags)

@@ -156,6 +156,18 @@ class TestParseBiography:
             (9, 8, "invalid latitude '4_5'")
         ]
 
+    def test_non_ascii_digits_refused(self):
+        # \d and float() accept any Unicode decimal digit, so fullwidth
+        # "１９０４-０２" would be February 1904 and Arabic-Indic "١٢.٥" 12.5;
+        # the grammar is ASCII.
+        src = NEWTON_MINIMAL.replace("start = 1642", "start = １９０４-０２").replace(
+            "place = woolsthorpe", "lat = ١٢.٥\nlon = 1"
+        )
+        assert [(d.line, d.column, d.message) for d in diagnostics_of(src)] == [
+            (8, 9, "malformed date expression '１９０４-０２'"),
+            (9, 7, "invalid latitude '١٢.٥'"),
+        ]
+
     def test_duplicate_key(self):
         src = NEWTON_MINIMAL + "place = again\n"
         assert any("duplicate key 'place'" in d.message for d in diagnostics_of(src))
