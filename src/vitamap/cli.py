@@ -52,7 +52,7 @@ from .gazetteer import (
     remote_resolve,
 )
 from .geo import build_itinerary, route_stats
-from .model import Biography, Diagnostic, fold_key, split_lines, validate_biography
+from .model import Biography, Diagnostic, split_lines, validate_biography
 from .vita import VitaParseError, parse_biography
 
 EXIT_OK = 0
@@ -225,7 +225,7 @@ def _load_gazetteer_for(
             return {}
     source = _read_text(gaz_path, "gazetteer")
     # Every row is still checked; entries are built for the places used only.
-    used = {fold_key(e.place_key) for e in biography.events if e.place_key is not None}
+    used = {e.key for e in biography.events if e.key is not None}
     try:
         return load_gazetteer(source, used)
     except GazetteerParseError as exc:

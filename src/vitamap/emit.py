@@ -32,7 +32,6 @@ from .model import (
     InvalidBiographyError,
     ItineraryLeg,
     LifeEvent,
-    fold_key,
     to_day_number,
     validate_biography,
 )
@@ -246,13 +245,12 @@ def emit_itinerarium(
     rows = []
     for leg in legs:
         event = leg.event
-        place = fold_key(event.place_key) if event.place_key is not None else ""
         rows.append(
             (
                 str(leg.index),
                 event.when.start.isoformat(),
                 event.when.end.isoformat(),
-                place,
+                event.key or "",
                 event.label,
                 f"{leg.point.lat:.6f}",
                 f"{leg.point.lon:.6f}",

@@ -6,10 +6,10 @@ The gazetteer file is UTF-8 TSV with exactly five columns per line:
     key<TAB>display_name<TAB>lat<TAB>lon<TAB>region
 
 Lines starting with ``#`` are comments, blank lines are skipped, there
-is no header row. Keys follow the ``[a-z0-9][a-z0-9-]*`` grammar and
-must be unique. The file bundled with a biography is the source of
-truth; the remote resolver only ever *suggests* a row to paste in, so
-compiled outputs stay reproducible offline.
+is no header row. Keys are unique and follow ``[a-z0-9][a-z0-9-]*``
+without a trailing ``-``, which no place name folds to. The bundled
+file is the source of truth; the remote resolver only ever *suggests*
+a row to paste in, so compiled outputs stay reproducible offline.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def load_gazetteer(
             reject(f"expected 5 tab-separated columns, got {len(columns)}")
             continue
         key, display_name, lat_text, lon_text, region = columns
-        if not is_token(key):
+        if not is_token(key) or key.endswith("-"):  # no place folds to it
             reject(f"invalid key '{key}'")
             continue
         first = rows.get(key)
@@ -162,18 +162,16 @@ def normalize_key(name: str) -> str:
 
 
 def resolve(event: LifeEvent, gazetteer: dict[str, GazetteerEntry]) -> GeoPoint:
-    """Resolve an event's location: inline point wins, else gazetteer.
+    """Resolve an event's location: inline point wins, else the entry at ``event.key``.
 
     Raises UnknownPlace (carrying the event id and header line) when
     neither path yields a point.
     """
     if event.point is not None:
         return event.point
-    assert event.place_key is not None  # model invariant
-    key = fold_key(event.place_key)  # never empty: LifeEvent refuses such keys
-    entry = gazetteer.get(key)
+    entry = gazetteer.get(event.key)
     if entry is None:
-        raise UnknownPlace(key, event_id=event.id, line=event.line)
+        raise UnknownPlace(event.key, event_id=event.id, line=event.line)
     return entry.point
 
 
@@ -212,7 +210,7 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
         )
     key, display_name = payload["key"], payload["display_name"]
     lat, lon = payload["lat"], payload["lon"]
-    if not isinstance(key, str) or not is_token(key):
+    if not isinstance(key, str) or not is_token(key) or key.endswith("-"):
         raise GeocoderError("malformed geocoder response: bad key")
     if not isinstance(display_name, str) or not display_name:
         raise GeocoderError("malformed geocoder response: bad display_name")

@@ -22,7 +22,6 @@ from .model import (
     GeoPoint,
     ItineraryLeg,
     LifeEvent,
-    fold_key,
 )
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
@@ -95,11 +94,10 @@ def itinerary_stops(
 
 
 def place_identity(event: LifeEvent, point: GeoPoint) -> str | tuple[float, float]:
-    """What makes two stops the same place: the normalized key of a
-    keyed place, else the exact (lat, lon) of an inline-only point."""
-    if event.place_key is not None:
-        return fold_key(event.place_key)
-    return (point.lat, point.lon)
+    """What makes two stops the same place: the folded key of a keyed
+    place (``event.key``), else the exact (lat, lon) of an inline-only
+    point."""
+    return event.key or (point.lat, point.lon)
 
 
 def build_itinerary(

@@ -148,10 +148,12 @@ class LifeEvent:
 
     The place is either a gazetteer key, an inline point, or both; an
     inline point overrides the gazetteer at resolution time. A place
-    key must fold to a non-empty key (:func:`fold_key`), so every
-    consumer can normalize it. ``line`` is the 1-based line of the
-    event's ``[event]`` header when it was parsed from VITA text; it
-    locates diagnostics and takes no part in equality.
+    key must fold to a non-empty key. ``key`` holds that fold
+    (:func:`fold_key`), made once here for every consumer, or None for
+    an inline-only event; it is derived, so not an argument, and takes
+    no part in ``repr`` or equality. ``line`` is the 1-based line of the
+    ``[event]`` header when parsed from VITA text; it locates
+    diagnostics and takes no part in equality.
     """
 
     id: str
@@ -163,6 +165,7 @@ class LifeEvent:
     note: str = ""
     attachments: tuple[str, ...] = ()
     line: int | None = field(default=None, compare=False)
+    key: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_token(self.id):
@@ -171,8 +174,10 @@ class LifeEvent:
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.place_key is None and self.point is None:
             raise ValueError(f"event {self.id!r} needs a place key or an inline point")
-        if self.place_key is not None and not fold_key(self.place_key):
+        key = None if self.place_key is None else fold_key(self.place_key)
+        if key == "":
             raise ValueError(f"place_key normalizes to empty key (use None): {self.place_key!r}")
+        object.__setattr__(self, "key", key)
         object.__setattr__(self, "attachments", tuple(self.attachments))
         for path in self.attachments:
             if not path or path.startswith("/"):

@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vitamap.cli import main
 from vitamap.emit import (
     DEFAULT_PALETTE,
     EmitConfig,
@@ -38,6 +39,7 @@ from vitamap.model import (
     GeoPoint,
     InvalidBiographyError,
     LifeEvent,
+    fold_key,
     from_day_number,
     to_day_number,
     validate_biography,
@@ -504,3 +506,34 @@ class TestComplexityGuards:
         rows = list(csv.reader(io.StringIO(distance_matrix(simple_biography(*events), GAZ))))
         assert len(rows) == places + 1
         assert calls[0] == places * (places - 1) // 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["validate"],
+            ["compile"],
+            ["compile", "--format", "geojson"],
+            ["itinerary"],
+            ["stats"],
+            ["distances", "--matrix"],
+        ],
+    )
+    def test_cli_folds_each_place_key_twice(self, command, newton_path, monkeypatch):
+        # Once by the parser's located check, once by LifeEvent: 8 keyed events.
+        monkeypatch.delenv("VITA_GAZETTEER", raising=False)
+        calls = count_calls(monkeypatch, fold_key)
+        assert main([command[0], str(newton_path), *command[1:]]) == 0
+        assert calls[0] == 2 * 8
+
+    def test_emitters_fold_no_key(self, newton_path, gazetteer_path, monkeypatch):
+        b = parse_biography(newton_path.read_text(encoding="utf-8"))
+        gaz = load_gazetteer(gazetteer_path.read_text(encoding="utf-8"))
+        assert sum(e.key is not None for e in b.events) == 8
+        calls = count_calls(monkeypatch, fold_key)
+        emit_kml(b, gaz)
+        emit_geojson(b, gaz)
+        legs = build_itinerary(b, gaz)
+        emit_itinerarium(legs, b, "csv")
+        route_stats(legs, b)
+        distance_matrix(b, gaz)
+        assert calls[0] == 0

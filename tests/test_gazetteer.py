@@ -89,6 +89,11 @@ class TestLoadGazetteer:
         diags = errors_of("Giza\tGiza\t29.98\t31.13\tEgypt\n")
         assert any("invalid key 'Giza'" in d.message for d in diags)
 
+    def test_key_with_trailing_hyphen_rejected(self):
+        # No place folds to 'giza-': `place = giza-` looks up 'giza'.
+        diags = errors_of("giza-\tGiza\t29.98\t31.13\tEgypt\n" + GIZA_ROW + "\n")
+        assert [(d.line, d.column, d.message) for d in diags] == [(1, 1, "invalid key 'giza-'")]
+
     def test_round_trip_rows(self):
         source = (
             "aswan\tAswan\t24.088900\t32.899800\tEgypt\n"
@@ -232,6 +237,11 @@ class TestRemoteResolve:
         entry = remote_resolve("Qau el-Kebir", f"{geocoder_stub}/echo")
         assert entry.display_name == "Qau el-Kebir"
         assert entry.key == "qau-el-kebir"
+
+    def test_key_with_trailing_hyphen_refused(self, geocoder_stub):
+        # The stub echoes the key 'giza-', a row load_gazetteer would reject.
+        with pytest.raises(GeocoderError, match="malformed geocoder response: bad key"):
+            remote_resolve("Giza ", f"{geocoder_stub}/echo")
 
     def test_not_found(self, geocoder_stub):
         with pytest.raises(GeocoderError, match="place not found at endpoint"):

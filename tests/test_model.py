@@ -27,7 +27,9 @@ from vitamap.model import (
     to_day_number,
     validate_biography,
 )
-from vitamap.vita import parse_biography
+from vitamap.vita import parse_biography, serialize_biography
+
+from strategies import biographies
 
 EPOCH = date(1600, 1, 1)
 
@@ -242,6 +244,44 @@ class TestEventAndBiography:
             event("UPPER")
         with pytest.raises(ValueError):
             Biography(title="T", id="Not Valid", events=(event("a"),))
+
+
+class TestEventKey:
+    """LifeEvent.key is place_key folded once, at construction."""
+
+    @given(biographies())
+    def test_key_is_the_fold_of_place_key(self, b):
+        parsed = parse_biography(serialize_biography(b))
+        for e in b.events + parsed.events:
+            assert e.key == (fold_key(e.place_key) if e.place_key is not None else None)
+        assert [e.key for e in parsed.events] == [e.key for e in b.events]
+
+    def test_key_is_not_in_repr_equality_or_hash(self):
+        e = event("a", place_key="Deir el_Medina")
+        assert e.key == "deir-el-medina"
+        assert ", key=" not in repr(e) and "'deir-el-medina'" not in repr(e)
+        twin = copy.copy(e)
+        object.__setattr__(twin, "key", "elsewhere")
+        assert twin == e and hash(twin) == hash(e)
+
+    def test_replace_recomputes_key(self):
+        e = event("a", place_key="giza")
+        assert dataclasses.replace(e, place_key="Deir el_Medina").key == "deir-el-medina"
+        moved = dataclasses.replace(e, place_key=None, point=GeoPoint(1, 2))
+        assert moved.key is None
+
+    def test_copies_keep_key(self):
+        e = event("a", place_key="  Deir_el  Medina ")
+        copies = [copy.copy(e), copy.deepcopy(e)] + [
+            pickle.loads(pickle.dumps(e, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies:
+            assert twin == e and twin.key == "deir-el-medina"
+
+    def test_key_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            LifeEvent(id="a", kind="other", when=year_interval(1900), place_key="x", key="x")
 
 
 class TestValidateBiography:
