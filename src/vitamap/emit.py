@@ -33,7 +33,7 @@ from .model import (
     ItineraryLeg,
     LifeEvent,
     to_day_number,
-    validate_biography,
+    validation_errors,
 )
 
 KML_NAMESPACE = "http://www.opengis.net/kml/2.2"
@@ -87,7 +87,7 @@ def _bucket(start: int, t0: int, t1: int, bucket_count: int) -> int:
 
 
 def _check_valid(biography: Biography) -> None:
-    errors = [d for d in validate_biography(biography) if d.severity == "error"]
+    errors = validation_errors(biography)
     if errors:
         raise InvalidBiographyError(errors)
 

@@ -9,12 +9,12 @@ positive numbers.
 
 from __future__ import annotations
 
-import calendar
 import math
+import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
-from pathlib import Path
 
 TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9-]*\Z")
 
@@ -93,12 +93,8 @@ class GeoPoint:
 # ---------------------------------------------------------------------------
 # Calendar
 
-def is_leap_year(year: int) -> bool:
-    return calendar.isleap(year)
-
-
 def days_in_month(year: int, month: int) -> int:
-    return calendar.monthrange(year, month)[1]
+    return 31 if month == 12 else (date(year, month + 1, 1) - date(year, month, 1)).days
 
 
 # A proleptic Gregorian calendar day, years 1..9999: the stdlib's own.
@@ -260,36 +256,46 @@ class InvalidBiographyError(Exception):
         super().__init__(f"biography failed validation: {first}")
 
 
+def _checked_events(
+    biography: Biography,
+) -> Iterator[tuple[LifeEvent, int | None, tuple[Diagnostic, ...]]]:
+    """Each event, the header line of the first event with its id, and its errors."""
+    header_lines: dict[str, int | None] = {}  # id -> header line of its first event
+    for event in biography.events:
+        if event.id not in header_lines:
+            yield event, header_lines.setdefault(event.id, event.line), ()
+        else:
+            line = header_lines[event.id]
+            error = Diagnostic("error", event.id, f"duplicate event id '{event.id}'", line)
+            yield event, line, (error,)
+
+
+def validation_errors(biography: Biography) -> list[Diagnostic]:
+    """The error findings of :func:`validate_biography`, in its order."""
+    return [error for _, _, errors in _checked_events(biography) for error in errors]
+
+
 def validate_biography(
-    biography: Biography, base_dir: str | Path | None = None
+    biography: Biography, base_dir: str | os.PathLike[str] | None = None
 ) -> list[Diagnostic]:
     """Check a biography and return diagnostics instead of raising.
 
     Checks, in order, per event in authoring order: duplicate id (error),
-    interval end before start (error, re-checked defensively), overlap
-    with an earlier residence for residence events (warning), start date
-    earlier than the previous event's (warning), and, when base_dir is
-    given, attachment files missing relative to it (warning). Each
-    diagnostic carries the ``[event]`` header line of the first event
-    with its id (None for events built directly). The result is
-    deterministic for identical inputs.
+    overlap with an earlier residence for residence events (warning),
+    start date earlier than the previous event's (warning), and, when
+    base_dir is given, attachment files missing relative to it
+    (warning). Each diagnostic carries the ``[event]`` header line of
+    the first event with its id (None for events built directly). The
+    result is deterministic for identical inputs.
     """
     out: list[Diagnostic] = []
-    header_lines: dict[str, int | None] = {}  # id -> header line of its first event
     residences: list[tuple[str, int, int]] = []  # (id, start day, end day)
     prev_start: int | None = None
-    base = Path(base_dir) if base_dir is not None else None
 
-    for event in biography.events:
-        duplicate = event.id in header_lines
-        line = header_lines.setdefault(event.id, event.line)
-        if duplicate:
-            out.append(Diagnostic("error", event.id, f"duplicate event id '{event.id}'", line))
-
+    for event, line, errors in _checked_events(biography):
+        out += errors
         start_day = to_day_number(event.when.start)
         end_day = to_day_number(event.when.end)
-        if end_day < start_day:
-            out.append(Diagnostic("error", event.id, "interval end precedes start", line))
 
         if event.kind == "residence":
             for earlier_id, earlier_start, earlier_end in residences:
@@ -302,9 +308,10 @@ def validate_biography(
             out.append(Diagnostic("warning", event.id, "event out of chronological order", line))
         prev_start = start_day
 
-        if base is not None:
+        if base_dir is not None:
             for attachment in event.attachments:
-                if not (base / attachment).exists():
+                # False on any OSError (a name too long, say): Path.exists raises.
+                if not os.path.exists(os.path.join(base_dir, attachment)):
                     message = f"missing attachment file '{attachment}'"
                     out.append(Diagnostic("warning", event.id, message, line))
 

@@ -55,17 +55,6 @@ _EMPTY_OK_KEYS = frozenset({"note", "label"})
 
 _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?\Z")
 
-# One line with its comment cut: blanks (ASCII only), then a ``[header]``,
-# a ``key = value`` pair (the key may be empty) or any other text as
-# ``body``, then blanks. ``body`` is None on a blank line.
-_LINE_RE = re.compile(
-    r"[ \t\r\f\v]*"
-    r"(?P<body>\[(?P<header>.*)\]"
-    r"|(?P<key>[^=]*?)[ \t\r\f\v]*(?P<eq>=)[ \t\r\f\v]*(?P<value>.*?)"
-    r"|.+?)?"
-    r"[ \t\r\f\v]*"
-)
-
 
 class VitaParseError(Exception):
     """Parse failure carrying all diagnostics, sorted by (line, column)."""
@@ -140,13 +129,15 @@ def parse_biography(source: str) -> Biography:
 
     lines = split_lines(source)
     for lineno, line in enumerate(lines, start=1):
-        m = _LINE_RE.fullmatch(line.partition("#")[0])
-        if m["body"] is None:
+        text = line.partition("#")[0]
+        lead = text.lstrip(_ASCII_WS)
+        body = lead.rstrip(_ASCII_WS)
+        if not body:
             continue
-        col = m.start("body") + 1
+        col = len(text) - len(lead) + 1
 
-        name = m["header"]
-        if name is not None:
+        if len(body) > 1 and body[0] == "[" and body[-1] == "]":
+            name = body[1:-1]
             finish_current_event()
             if name == "biography":
                 if bio_block is not None:
@@ -174,12 +165,13 @@ def parse_biography(source: str) -> Biography:
         if mode == "skip":
             continue
 
-        key = m["key"]
-        if not key:
+        raw_key, eq, rest = body.partition("=")
+        key = raw_key.rstrip(_ASCII_WS)
+        if not eq or not key:
             diags.append(ParseDiagnostic(lineno, col, "expected 'key = value'"))
             continue
-        value = m["value"]
-        value_col = m.start("value" if value else "eq") + 1
+        value = rest.lstrip(_ASCII_WS)
+        value_col = col + len(body) - len(value) if value else col + len(raw_key)
 
         block = bio_block if mode == "biography" else current
         known = _BIOGRAPHY_KEYS if mode == "biography" else _EVENT_KEYS

@@ -226,6 +226,17 @@ class TestUndecodableFiles:
         assert captured.err.startswith(f"error {gaz}:2 gazetteer is not valid UTF-8 (")
 
 
+class TestAttachments:
+    def test_overlong_name_is_a_located_missing_file_warning(self, workspace, capsys):
+        # 304 bytes: over the usual 255-byte name limit, so stat fails
+        # with ENAMETOOLONG rather than ENOENT.
+        name = "a" * 300 + ".pdf"
+        path = workspace / "long.vita"
+        path.write_text(OK_VITA + f"attach = {name}\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == f"warning {path}:12 missing attachment file '{name}'\n"
+
+
 class TestStrict:
     def test_warnings_pass_by_default(self, workspace):
         assert main(["validate", vita(workspace, "overlap")]) == 0
@@ -402,6 +413,23 @@ def test_cli_import_skips_urllib_request(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "False\n"
+
+
+def test_cli_import_skips_calendar_and_locale(tmp_path):
+    # -S keeps site-wide preloads out, so sys.modules holds only what
+    # importing vitamap.cli pulls in.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import vitamap.cli; "
+        "print(sorted({'calendar', 'locale'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(REPO / "src")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # Lines of the .vita grammar. A generated file is a well-formed skeleton

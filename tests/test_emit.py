@@ -492,6 +492,20 @@ class TestComplexityGuards:
         assert any("overlapping residences" in d.message for d in diagnostics)
         assert 0 < calls[0] <= 4 * len(b.events)
 
+    @pytest.mark.parametrize("emitter", [emit_kml, emit_geojson])
+    def test_emitters_check_errors_only(self, emitter, monkeypatch):
+        # Three duplicate ids among overlapping residences: the emitter
+        # raises with validation's errors, without running its warning checks.
+        events = generated_biography(60).events
+        b = simple_biography(*events, *events[:3])
+        errors = [d for d in validate_biography(b) if d.severity == "error"]
+        assert len(errors) == 3
+        calls = count_calls(monkeypatch, validate_biography)
+        with pytest.raises(InvalidBiographyError) as excinfo:
+            emitter(b, GAZ)
+        assert excinfo.value.diagnostics == errors
+        assert calls[0] == 0
+
     def test_distance_matrix_computes_each_pair_once(self, monkeypatch):
         places = 40
         events = [

@@ -410,6 +410,42 @@ class TestDiagnosticColumns:
         assert [(d.line, d.column, d.message) for d in diagnostics_of(source)] == expected
 
 
+# An event lacking only an optional ``end``: a generated line 8 joins it.
+_EVENT_SO_FAR = "[biography]\ntitle = T\nid = t\n[event]\nid = e\nstart = 1900\nplace = giza\n"
+_blanks = st.text(alphabet=" \t\f\v", max_size=3)
+_comments = st.sampled_from(["", "#", "# a note", "#x = [event]"])
+
+
+class TestLexerColumns:
+    """The column rule of TestDiagnosticColumns over generated lines of
+    blanks, key, blanks, ``=``, blanks, value, blanks and a comment."""
+
+    @staticmethod
+    def located(lead, key, before, after, value, tail, comment):
+        line = f"{lead}{key}{before}={after}{value}{tail}{comment}"
+        return [(d.line, d.column, d.message) for d in diagnostics_of(_EVENT_SO_FAR + line)]
+
+    @given(_blanks, st.from_regex(r"x[a-z _]{0,6}[a-z]", fullmatch=True), _blanks, _blanks,
+           st.sampled_from(["", "1900", "a = b", "[x]"]), _blanks, _comments)
+    def test_unknown_key_at_first_non_blank(self, lead, key, before, after, value, tail, comment):
+        found = self.located(lead, key, before, after, value, tail, comment)
+        assert found == [(8, len(lead) + 1, f"unknown key '{key}' in [event]")]
+
+    @given(_blanks, st.sampled_from(["id", "kind", "start", "end", "place", "lat", "attach"]),
+           _blanks, _blanks, _blanks, _comments)
+    def test_empty_required_value_at_equals_sign(self, lead, key, before, after, tail, comment):
+        found = self.located(lead, key, before, after, "", tail, comment)
+        column = len(lead) + len(key) + len(before) + 1
+        assert found == [(8, column, f"empty value for key '{key}'")]
+
+    @given(_blanks, _blanks, _blanks, st.from_regex(r"[0-9c][0-9x. -]{0,6}x", fullmatch=True),
+           _blanks, _comments)
+    def test_malformed_date_at_value_start(self, lead, before, after, value, tail, comment):
+        found = self.located(lead, "end", before, after, value, tail, comment)
+        column = len(lead) + len("end") + len(before) + len(after) + 2
+        assert found == [(8, column, f"malformed date expression '{value}'")]
+
+
 class TestSerialize:
     def test_canonical_output_shape(self):
         b = parse_biography(NEWTON_MINIMAL)
