@@ -33,12 +33,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import warnings
 from collections.abc import Callable
 from functools import partial
 from pathlib import Path
-from typing import NoReturn
 
 from . import __version__
 from .emit import EmitConfig, distance_matrix, emit_geojson, emit_itinerarium, emit_kml
@@ -166,7 +164,7 @@ def _run(formatter: Formatter, args: argparse.Namespace) -> None:
         try:
             text = formatter(args, biography, gazetteer)
         except UnknownPlace as exc:
-            _fail(input_path, [Diagnostic("error", exc.event_id, str(exc), exc.line)])
+            raise _fail(input_path, [Diagnostic("error", exc.event_id, str(exc), exc.line)])
     found = [Diagnostic("warning", None, str(w.message), biography.events[0].line) for w in caught]
     if _report(input_path, found, args.strict):
         raise _CliFailure(EXIT_DOMAIN)
@@ -183,7 +181,7 @@ def _read_text(path: Path, what: str) -> str:
     except UnicodeDecodeError as exc:
         line = len(split_lines(data[: exc.start].decode("utf-8")))
         message = f"{what} is not valid UTF-8 ({exc.reason})"
-        _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
+        raise _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
     # Tolerate a leading BOM from Windows editors.
     return text.removeprefix("\ufeff")
 
@@ -195,9 +193,10 @@ def _report(path: Path, diagnostics: list[Diagnostic], strict: bool = False) -> 
     return any(strict or d.severity == "error" for d in diagnostics)
 
 
-def _fail(path: Path, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) -> NoReturn:
+def _fail(path: Path, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) -> _CliFailure:
+    """Print the findings; the caller raises the failure returned."""
     _report(path, diagnostics)
-    raise _CliFailure(code)
+    return _CliFailure(code)
 
 
 def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
@@ -205,7 +204,7 @@ def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
     try:
         biography = parse_biography(_read_text(path, "input"))
     except VitaParseError as exc:
-        _fail(path, exc.diagnostics)
+        raise _fail(path, exc.diagnostics)
     if _report(path, validate_biography(biography, base_dir=path.parent), args.strict):
         raise _CliFailure(EXIT_DOMAIN)
     return path, biography
@@ -229,13 +228,15 @@ def _load_gazetteer_for(
     try:
         return load_gazetteer(source, used)
     except GazetteerParseError as exc:
-        _fail(gaz_path, exc.diagnostics)
+        raise _fail(gaz_path, exc.diagnostics)
 
 
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
+    import tempfile  # with shutil and random, only -o needs it
+
     target = Path(output)
     directory = target.parent if str(target.parent) else Path(".")
     try:

@@ -78,13 +78,13 @@ def load_gazetteer(
     """Parse gazetteer TSV text into an ordered key -> entry map.
 
     Every row is checked, whatever ``keys`` is: GazetteerParseError
-    lists every malformed row, looked up or not. Entries are then built
-    only for ``keys`` (a set of folded place keys; keys the file lacks
-    are ignored), in file order, or for every row when ``keys`` is None.
-    An empty file is a valid empty gazetteer.
+    lists every malformed row, looked up or not. In the same scan an
+    entry is built only for ``keys`` (a set of folded place keys; keys
+    the file lacks are ignored), in file order, or for every row when
+    ``keys`` is None. An empty file is a valid empty gazetteer.
     """
-    # key -> (line, display_name, lat, lon, region)
-    rows: dict[str, tuple[int, str, float, float, str]] = {}
+    first_lines: dict[str, int] = {}  # key -> line of its first valid row
+    entries: dict[str, GazetteerEntry] = {}
     diags: list[Diagnostic] = []
 
     def reject(message: str) -> None:  # the row at ``lineno``
@@ -101,9 +101,9 @@ def load_gazetteer(
         if not is_token(key) or key.endswith("-"):  # no place folds to it
             reject(f"invalid key '{key}'")
             continue
-        first = rows.get(key)
+        first = first_lines.get(key)
         if first is not None:
-            reject(f"duplicate key '{key}' (first defined on line {first[0]})")
+            reject(f"duplicate key '{key}' (first defined on line {first})")
             continue
         if not display_name:
             reject("empty display_name")
@@ -126,15 +126,13 @@ def load_gazetteer(
         if not -180.0 < lon <= 180.0:
             reject("longitude out of range")
             continue
-        rows[key] = (lineno, display_name, lat, lon, region)
+        first_lines[key] = lineno
+        if keys is None or key in keys:
+            entries[key] = GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
 
     if diags:
         raise GazetteerParseError(diags)
-    return {
-        key: GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
-        for key, (_, display_name, lat, lon, region) in rows.items()
-        if keys is None or key in keys
-    }
+    return entries
 
 
 def gazetteer_row(entry: GazetteerEntry) -> str:

@@ -244,34 +244,22 @@ def _finish_event(block: _Block, diags: list[Diagnostic]) -> LifeEvent | None:
         diags.append(_at(kind, f"unknown kind '{kind[0]}'"))
 
     start = pairs.get("start")
-    start_interval = end_interval = None
+    when = None
     if start is None:
         diags.append(ParseDiagnostic(block.header_line, 1, "event missing required key 'start'"))
     else:
         try:
-            start_interval = parse_date_expr(start[0])
+            when = parse_date_expr(start[0])
         except ValueError as exc:
             diags.append(_at(start, str(exc)))
     end = pairs.get("end")
     if end is not None:
         try:
-            end_interval = parse_date_expr(end[0])
-        except ValueError as exc:
+            last = parse_date_expr(end[0])
+            if when is not None:  # else the start is already reported
+                when = DateInterval(when.start, last.end, when.circa or last.circa)
+        except ValueError as exc:  # a malformed end, or "interval end precedes start"
             diags.append(_at(end, str(exc)))
-
-    when = None
-    if start_interval is not None:
-        if end_interval is None:
-            when = start_interval
-        elif end_interval.end < start_interval.start:
-            assert end is not None
-            diags.append(_at(end, "interval end precedes start"))
-        else:
-            when = DateInterval(
-                start_interval.start,
-                end_interval.end,
-                start_interval.circa or end_interval.circa,
-            )
 
     lat = pairs.get("lat")
     lon = pairs.get("lon")

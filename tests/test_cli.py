@@ -417,10 +417,15 @@ def test_cli_import_skips_urllib_request(tmp_path):
 
 def test_cli_import_skips_calendar_and_locale(tmp_path):
     # -S keeps site-wide preloads out, so sys.modules holds only what
-    # importing vitamap.cli pulls in.
+    # importing vitamap.cli pulls in. tempfile (with shutil, random, bz2
+    # and lzma) is for -o only. Later 3.13 releases import typing from
+    # inspect, which dataclasses imports; so only what vitamap adds after
+    # dataclasses counts.
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import vitamap.cli; "
-        "print(sorted({'calendar', 'locale'} & set(sys.modules)))"
+        "import sys; sys.path.insert(0, sys.argv[1]); import dataclasses; "
+        "before = set(sys.modules); import vitamap.cli; "
+        "print(sorted({'calendar', 'locale', 'tempfile', 'shutil', 'random', 'bz2', 'lzma',"
+        " 'typing'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(REPO / "src")],

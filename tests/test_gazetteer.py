@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,6 +177,24 @@ class TestLoadGazetteerKeys:
             return
         subset = load_gazetteer(source, keys)
         assert list(subset.items()) == [(k, e) for k, e in full.items() if k in keys]
+
+    def test_keyed_load_keeps_no_table_of_unused_rows(self):
+        # 20 000 rows, about 1 MB, of which one is looked up. The loader's
+        # peak is the line list plus each row's split; a second table of
+        # every valid row would double it (8-9x the source).
+        source = "".join(
+            f"site-{i:05d}\tSite {i}\t{(i * 7919 % 180001) / 1000 - 90:.6f}"
+            f"\t{(i * 104729 % 359999) / 1000 - 179.998:.6f}\tRegion {i % 17}\n"
+            for i in range(20_000)
+        )
+        tracemalloc.start()
+        try:
+            entries = load_gazetteer(source, {"site-12345"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(entries) == ["site-12345"]
+        assert peak < 6 * len(source)
 
 
 class TestNormalizeKey:

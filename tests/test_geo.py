@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vitamap.geo import (
     EARTH_RADIUS_KM,
@@ -120,8 +121,17 @@ class TestHaversine:
         assert haversine_km(a, b) == haversine_km(b, a)
 
     @given(points, points)
+    @example(GeoPoint(0.0, 180.0), GeoPoint(0.0, 5.960464477539063e-08))
     def test_matches_independent_formulation(self, a, b):
-        assert haversine_km(a, b) == pytest.approx(oracle_great_circle_km(a, b), abs=1e-6)
+        # The kernel is the textbook 2R*asin(sqrt(h)). Near h = 1, asin
+        # turns a rounding of h by dh into an error of up to 2R*sqrt(dh).
+        # So within 1 km of antipodal the bound is 2R*sqrt(4*eps), about
+        # 3.8e-4 km (h off by up to 4 ulps); elsewhere it is 1e-6 km.
+        expected = oracle_great_circle_km(a, b)
+        tolerance = 1e-6
+        if expected > math.pi * EARTH_RADIUS_KM - 1.0:
+            tolerance = 2 * EARTH_RADIUS_KM * math.sqrt(4 * sys.float_info.epsilon)
+        assert haversine_km(a, b) == pytest.approx(expected, abs=tolerance)
 
     def test_range_over_random_pairs(self):
         rng = random.Random(1859)

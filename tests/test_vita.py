@@ -354,6 +354,11 @@ class TestDiagnosticColumns:
                 id="blank-value",
             ),
             pytest.param(
+                NEWTON_MINIMAL + "end =  c.1641\n",
+                [(10, 8, "interval end precedes start")],
+                id="end-before-start-at-end-value",
+            ),
+            pytest.param(
                 NEWTON_MINIMAL.replace("kind = birth", "kind =\t\tborn"),
                 [(7, 9, "unknown kind 'born'")],
                 id="value-after-tabs",
