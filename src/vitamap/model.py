@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
@@ -174,7 +175,8 @@ class LifeEvent:
         if key == "":
             raise ValueError(f"place_key normalizes to empty key (use None): {self.place_key!r}")
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "attachments", tuple(self.attachments))
+        if type(self.attachments) is not tuple:  # a list, say: store a tuple
+            object.__setattr__(self, "attachments", tuple(self.attachments))
         for path in self.attachments:
             if not path or path.startswith("/"):
                 raise ValueError(f"attachment path must be relative: {path!r}")
@@ -289,7 +291,10 @@ def validate_biography(
     result is deterministic for identical inputs.
     """
     out: list[Diagnostic] = []
-    residences: list[tuple[str, int, int]] = []  # (id, start day, end day)
+    # Earlier residences as (end day, authoring index, start day, id), sorted
+    # by end day: those that can overlap a new one form the tail whose end
+    # day is at least its start day.
+    residences: list[tuple[int, int, int, str]] = []
     prev_start: int | None = None
 
     for event, line, errors in _checked_events(biography):
@@ -298,11 +303,11 @@ def validate_biography(
         end_day = to_day_number(event.when.end)
 
         if event.kind == "residence":
-            for earlier_id, earlier_start, earlier_end in residences:
-                if start_day <= earlier_end and earlier_start <= end_day:
-                    message = f"overlapping residences: '{earlier_id}' and '{event.id}'"
-                    out.append(Diagnostic("warning", event.id, message, line))
-            residences.append((event.id, start_day, end_day))
+            tail = residences[bisect_left(residences, (start_day,)) :]
+            for _, earlier_id in sorted((i, rid) for _, i, s, rid in tail if s <= end_day):
+                message = f"overlapping residences: '{earlier_id}' and '{event.id}'"
+                out.append(Diagnostic("warning", event.id, message, line))
+            insort(residences, (end_day, len(residences), start_day, event.id))
 
         if prev_start is not None and start_day < prev_start:
             out.append(Diagnostic("warning", event.id, "event out of chronological order", line))

@@ -29,10 +29,8 @@ the rest of the file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date
 
-from .gazetteer import UnknownPlace, normalize_key
 from .model import (
     Biography,
     DateInterval,
@@ -49,11 +47,25 @@ from .model import (
 
 _ASCII_WS = " \t\r\f\v"
 
-_BIOGRAPHY_KEYS = ("title", "id", "gazetteer")
-_EVENT_KEYS = ("id", "kind", "start", "end", "place", "lat", "lon", "label", "note", "attach")
+_BIOGRAPHY_KEYS = frozenset({"title", "id", "gazetteer"})
+_EVENT_KEYS = frozenset(
+    {"id", "kind", "start", "end", "place", "lat", "lon", "label", "note", "attach"}
+)
 _EMPTY_OK_KEYS = frozenset({"note", "label"})
+# The keys each mode stores on the short path: one value each, never empty.
+_SHORT_PATH_KEYS = {
+    "biography": _BIOGRAPHY_KEYS,
+    "event": _EVENT_KEYS - {"attach"},
+    "skip": frozenset(),
+}
 
 _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?\Z")
+# Matches exactly the names that fold_key folds to "", without folding them.
+_FOLDS_TO_EMPTY = re.compile(r"[\s_-]*\Z").match
+
+# A key's value and the line it is on; its column is found again from the
+# line only when a finding needs it (see _value_column).
+_Pair = tuple[str, int]
 
 
 class VitaParseError(Exception):
@@ -67,36 +79,33 @@ class VitaParseError(Exception):
 
 def parse_date_expr(expr: str) -> DateInterval:
     """Expand a date expression into an inclusive day interval."""
-    expr = expr.strip(_ASCII_WS)
+    return DateInterval(*_date_range(expr.strip(_ASCII_WS)))
+
+
+def _date_range(expr: str) -> tuple[date, date, bool]:
+    """The first day, last day and circa flag of a stripped date expression."""
     if not expr:
         raise ValueError("empty date expression")
     m = _DATE_EXPR_RE.match(expr)
     if not m:
         raise ValueError(f"malformed date expression '{expr}'")
-    circa = m.group(1) is not None
-    year = int(m.group(2))
+    circa, year_text, month_text, day_text = m.groups()
+    year = int(year_text)
     if year < 1:
         raise ValueError(f"year out of range in '{expr}'")
-    if m.group(3) is None:
-        return DateInterval(date(year, 1, 1), date(year, 12, 31), circa)
-    month = int(m.group(3))
+    if month_text is None:
+        return date(year, 1, 1), date(year, 12, 31), circa is not None
+    month = int(month_text)
     if not 1 <= month <= 12:
         raise ValueError(f"month out of range in '{expr}'")
-    if m.group(4) is None:
+    if day_text is None:
         last = date(year, month, days_in_month(year, month))
-        return DateInterval(date(year, month, 1), last, circa)
+        return date(year, month, 1), last, circa is not None
     try:
-        d = date(year, month, int(m.group(4)))
+        d = date(year, month, int(day_text))
     except ValueError:
         raise ValueError(f"day out of range in '{expr}'") from None
-    return DateInterval(d, d, circa)
-
-
-@dataclass
-class _Block:
-    header_line: int
-    pairs: dict[str, tuple[str, int, int]] = field(default_factory=dict)
-    attachments: list[tuple[str, int, int]] = field(default_factory=list)
+    return d, d, circa is not None
 
 
 def parse_biography(source: str) -> Biography:
@@ -107,8 +116,12 @@ def parse_biography(source: str) -> Biography:
     """
     diags: list[Diagnostic] = []
     events: list[LifeEvent] = []
-    bio_block: _Block | None = None
-    current: _Block | None = None
+    bio_line = 0  # line of the [biography] header; 0 until one is seen
+    bio_pairs: dict[str, _Pair] = {}
+    event_line = 0  # header line of the open [event] block; 0 when none is open
+    pairs: dict[str, _Pair] = {}  # the open block's keys
+    attachments: list[_Pair] = []  # the open [event] block's attach values
+    short_path_keys: frozenset[str] = frozenset()
     mode: str | None = None  # None, "biography", "event" or "skip"
     saw_event_block = False
     header_missing_reported = False
@@ -119,44 +132,43 @@ def parse_biography(source: str) -> Biography:
             diags.append(ParseDiagnostic(1, 1, "missing [biography] header"))
             header_missing_reported = True
 
-    def finish_current_event() -> None:
-        nonlocal current
-        if current is not None:
-            event = _finish_event(current, diags)
-            if event is not None:
-                events.append(event)
-            current = None
-
     lines = split_lines(source)
     for lineno, line in enumerate(lines, start=1):
-        text = line.partition("#")[0]
-        lead = text.lstrip(_ASCII_WS)
-        body = lead.rstrip(_ASCII_WS)
+        if "#" in line:
+            line = line.partition("#")[0]
+        body = line.strip(_ASCII_WS)
         if not body:
             continue
-        col = len(text) - len(lead) + 1
+        raw_key, eq, rest = body.partition("=")
+        key = raw_key.rstrip(_ASCII_WS)
+        value = rest.lstrip(_ASCII_WS)
+        if value and key in short_path_keys and key not in pairs:
+            pairs[key] = (value, lineno)
+            continue
 
         if len(body) > 1 and body[0] == "[" and body[-1] == "]":
             name = body[1:-1]
-            finish_current_event()
-            if name == "biography":
-                if bio_block is not None:
-                    diags.append(ParseDiagnostic(lineno, col, "duplicate [biography] block"))
-                    mode = "skip"
-                else:
-                    if saw_event_block:
-                        report_missing_header()
-                    bio_block = _Block(lineno)
-                    mode = "biography"
-            elif name == "event":
-                if bio_block is None:
+            if event_line:
+                _finish_event(lines, event_line, pairs, attachments, diags, events)
+                event_line = 0
+            if name == "event":
+                if not bio_line:
                     report_missing_header()
                 saw_event_block = True
-                current = _Block(lineno)
-                mode = "event"
+                event_line, pairs, attachments = lineno, {}, []
+            elif name == "biography" and not bio_line:
+                if saw_event_block:
+                    report_missing_header()
+                bio_line, pairs = lineno, bio_pairs
             else:
-                diags.append(ParseDiagnostic(lineno, col, f"unknown block header '[{name}]'"))
-                mode = "skip"
+                if name == "biography":
+                    message = "duplicate [biography] block"
+                else:
+                    message = f"unknown block header '[{name}]'"
+                diags.append(ParseDiagnostic(lineno, _first_column(line), message))
+                name = "skip"
+            mode = name
+            short_path_keys = _SHORT_PATH_KEYS[name]
             continue
 
         if mode is None:
@@ -164,38 +176,29 @@ def parse_biography(source: str) -> Biography:
             continue
         if mode == "skip":
             continue
-
-        raw_key, eq, rest = body.partition("=")
-        key = raw_key.rstrip(_ASCII_WS)
+        col = _first_column(line)
         if not eq or not key:
             diags.append(ParseDiagnostic(lineno, col, "expected 'key = value'"))
-            continue
-        value = rest.lstrip(_ASCII_WS)
-        value_col = col + len(body) - len(value) if value else col + len(raw_key)
-
-        block = bio_block if mode == "biography" else current
-        known = _BIOGRAPHY_KEYS if mode == "biography" else _EVENT_KEYS
-        if key not in known:
+        elif key not in (_BIOGRAPHY_KEYS if mode == "biography" else _EVENT_KEYS):
             diags.append(ParseDiagnostic(lineno, col, f"unknown key '{key}' in [{mode}]"))
-            continue
-        if not value and key not in _EMPTY_OK_KEYS:
-            diags.append(ParseDiagnostic(lineno, value_col, f"empty value for key '{key}'"))
-            continue
-        assert block is not None
-        if key == "attach":
-            block.attachments.append((value, lineno, value_col))
-        elif key in block.pairs:
+        elif not value and key not in _EMPTY_OK_KEYS:
+            column = col + len(raw_key)  # the '='
+            diags.append(ParseDiagnostic(lineno, column, f"empty value for key '{key}'"))
+        elif key == "attach":
+            attachments.append((value, lineno))
+        elif key in pairs:
             diags.append(ParseDiagnostic(lineno, col, f"duplicate key '{key}'"))
         else:
-            block.pairs[key] = (value, lineno, value_col)
+            pairs[key] = (value, lineno)
 
-    finish_current_event()
+    if event_line:
+        _finish_event(lines, event_line, pairs, attachments, diags, events)
 
-    if bio_block is None:
+    if not bio_line:
         report_missing_header()
         raise VitaParseError(diags)
 
-    title, bio_id, hint = _finish_biography(bio_block, diags)
+    title, bio_id, hint = _finish_biography(lines, bio_line, bio_pairs, diags)
     if not saw_event_block:
         diags.append(ParseDiagnostic(len(lines), 1, "biography has no events"))
     if diags:
@@ -204,24 +207,37 @@ def parse_biography(source: str) -> Biography:
     return Biography(title=title, id=bio_id, events=tuple(events), gazetteer_hint=hint)
 
 
-def _at(pair: tuple[str, int, int], message: str) -> Diagnostic:  # at a (value, line, column)
-    return ParseDiagnostic(pair[1], pair[2], message)
+def _first_column(line: str) -> int:
+    """The 1-based column of the first non-blank character of a line."""
+    return len(line) - len(line.lstrip(_ASCII_WS)) + 1
+
+
+def _value_column(lines: list[str], lineno: int) -> int:
+    """The 1-based column of the (non-empty) value on a ``key = value`` line."""
+    text = lines[lineno - 1].partition("#")[0].rstrip(_ASCII_WS)
+    value = text.partition("=")[2].lstrip(_ASCII_WS)
+    return len(text) - len(value) + 1
+
+
+def _at(lines: list[str], pair: _Pair, message: str) -> Diagnostic:
+    """A finding at the value of a (value, line) pair."""
+    return ParseDiagnostic(pair[1], _value_column(lines, pair[1]), message)
 
 
 def _finish_biography(
-    block: _Block, diags: list[Diagnostic]
+    lines: list[str], header_line: int, pairs: dict[str, _Pair], diags: list[Diagnostic]
 ) -> tuple[str | None, str | None, str | None]:
-    title = block.pairs.get("title")
-    bio_id = block.pairs.get("id")
-    hint = block.pairs.get("gazetteer")
+    title = pairs.get("title")
+    bio_id = pairs.get("id")
+    hint = pairs.get("gazetteer")
     if title is None:
-        diags.append(ParseDiagnostic(block.header_line, 1, "missing required key 'title'"))
+        diags.append(ParseDiagnostic(header_line, 1, "missing required key 'title'"))
     if bio_id is None:
-        diags.append(ParseDiagnostic(block.header_line, 1, "missing required key 'id'"))
+        diags.append(ParseDiagnostic(header_line, 1, "missing required key 'id'"))
     elif not is_token(bio_id[0]):
-        diags.append(_at(bio_id, f"invalid biography id '{bio_id[0]}'"))
+        diags.append(_at(lines, bio_id, f"invalid biography id '{bio_id[0]}'"))
     if hint is not None and hint[0].startswith("/"):
-        diags.append(_at(hint, "gazetteer path must be relative"))
+        diags.append(_at(lines, hint, "gazetteer path must be relative"))
     return (
         title[0] if title else None,
         bio_id[0] if bio_id else None,
@@ -229,37 +245,48 @@ def _finish_biography(
     )
 
 
-def _finish_event(block: _Block, diags: list[Diagnostic]) -> LifeEvent | None:
+def _finish_event(
+    lines: list[str],
+    header_line: int,
+    pairs: dict[str, _Pair],
+    attachments: list[_Pair],
+    diags: list[Diagnostic],
+    events: list[LifeEvent],
+) -> None:
+    """Check one [event] block; append its event, or its findings to diags."""
     before = len(diags)
-    pairs = block.pairs
 
     event_id = pairs.get("id")
     if event_id is None:
-        diags.append(ParseDiagnostic(block.header_line, 1, "event missing required key 'id'"))
+        diags.append(ParseDiagnostic(header_line, 1, "event missing required key 'id'"))
     elif not is_token(event_id[0]):
-        diags.append(_at(event_id, f"invalid event id '{event_id[0]}'"))
+        diags.append(_at(lines, event_id, f"invalid event id '{event_id[0]}'"))
 
     kind = pairs.get("kind")
     if kind is not None and kind[0] not in EVENT_KINDS:
-        diags.append(_at(kind, f"unknown kind '{kind[0]}'"))
+        diags.append(_at(lines, kind, f"unknown kind '{kind[0]}'"))
 
     start = pairs.get("start")
-    when = None
+    bounds = None
     if start is None:
-        diags.append(ParseDiagnostic(block.header_line, 1, "event missing required key 'start'"))
+        diags.append(ParseDiagnostic(header_line, 1, "event missing required key 'start'"))
     else:
         try:
-            when = parse_date_expr(start[0])
+            bounds = _date_range(start[0])
         except ValueError as exc:
-            diags.append(_at(start, str(exc)))
+            diags.append(_at(lines, start, str(exc)))
+    when = None
     end = pairs.get("end")
-    if end is not None:
+    if end is None:
+        if bounds is not None:
+            when = DateInterval(*bounds)
+    else:
         try:
-            last = parse_date_expr(end[0])
-            if when is not None:  # else the start is already reported
-                when = DateInterval(when.start, last.end, when.circa or last.circa)
+            _, last, circa = _date_range(end[0])
+            if bounds is not None:  # else the start is already reported
+                when = DateInterval(bounds[0], last, bounds[2] or circa)
         except ValueError as exc:  # a malformed end, or "interval end precedes start"
-            diags.append(_at(end, str(exc)))
+            diags.append(_at(lines, end, str(exc)))
 
     lat = pairs.get("lat")
     lon = pairs.get("lon")
@@ -267,62 +294,58 @@ def _finish_event(block: _Block, diags: list[Diagnostic]) -> LifeEvent | None:
     if (lat is None) != (lon is None):
         present = lat if lat is not None else lon
         assert present is not None
-        diags.append(_at(present, "lat and lon must be given together"))
+        diags.append(_at(lines, present, "lat and lon must be given together"))
     elif lat is not None and lon is not None:
-        point = _parse_point(lat, lon, diags)
+        point = _parse_point(lines, lat, lon, diags)
 
     place = pairs.get("place")
     if place is None and point is None and before == len(diags):
-        diags.append(
-            ParseDiagnostic(block.header_line, 1, "event needs a place or inline lat/lon")
-        )
-    elif place is not None:
-        try:
-            normalize_key(place[0])
-        except UnknownPlace as exc:
-            diags.append(_at(place, str(exc)))
+        diags.append(ParseDiagnostic(header_line, 1, "event needs a place or inline lat/lon"))
+    elif place is not None and _FOLDS_TO_EMPTY(place[0]):
+        diags.append(_at(lines, place, f"name normalizes to empty key: {place[0]!r}"))
 
-    for path, lineno, col in block.attachments:
-        if path.startswith("/"):
-            diags.append(ParseDiagnostic(lineno, col, "attachment path must be relative"))
+    for path in attachments:
+        if path[0].startswith("/"):
+            diags.append(_at(lines, path, "attachment path must be relative"))
 
     if len(diags) > before:
-        return None
+        return
     assert event_id is not None and when is not None
     label = pairs.get("label")
     note = pairs.get("note")
     try:
-        return LifeEvent(
-            id=event_id[0],
-            kind=kind[0] if kind else "other",
-            when=when,
-            place_key=place[0] if place else None,
-            point=point,
-            label=label[0] if label else "",
-            note=note[0] if note else "",
-            attachments=tuple(path for path, _, _ in block.attachments),
-            line=block.header_line,
+        events.append(
+            LifeEvent(
+                event_id[0],
+                kind[0] if kind else "other",
+                when,
+                place[0] if place else None,
+                point,
+                label[0] if label else "",
+                note[0] if note else "",
+                tuple([path for path, _ in attachments]) if attachments else (),
+                header_line,
+            )
         )
     except ValueError as exc:  # belt and braces: surface as a diagnostic
-        diags.append(ParseDiagnostic(block.header_line, 1, str(exc)))
-        return None
+        diags.append(ParseDiagnostic(header_line, 1, str(exc)))
 
 
 def _parse_point(
-    lat: tuple[str, int, int], lon: tuple[str, int, int], diags: list[Diagnostic]
+    lines: list[str], lat: _Pair, lon: _Pair, diags: list[Diagnostic]
 ) -> GeoPoint | None:
     values: list[float] = []
-    for name, (text, lineno, col) in (("latitude", lat), ("longitude", lon)):
+    for name, pair in (("latitude", lat), ("longitude", lon)):
         try:
-            values.append(parse_coordinate(text))
+            values.append(parse_coordinate(pair[0]))
         except ValueError:
-            diags.append(ParseDiagnostic(lineno, col, f"invalid {name} '{text}'"))
+            diags.append(_at(lines, pair, f"invalid {name} '{pair[0]}'"))
             return None
     try:
         return GeoPoint(values[0], values[1])
     except ValueError as exc:
         culprit = lat if "latitude" in str(exc) else lon
-        diags.append(_at(culprit, str(exc).split(":")[0]))
+        diags.append(_at(lines, culprit, str(exc).split(":")[0]))
         return None
 
 

@@ -44,7 +44,7 @@ from vitamap.model import (
     to_day_number,
     validate_biography,
 )
-from vitamap.vita import parse_biography
+from vitamap.vita import parse_biography, serialize_biography
 
 from strategies import biographies, geo_points
 
@@ -532,12 +532,12 @@ class TestComplexityGuards:
             ["distances", "--matrix"],
         ],
     )
-    def test_cli_folds_each_place_key_twice(self, command, newton_path, monkeypatch):
-        # Once by the parser's located check, once by LifeEvent: 8 keyed events.
+    def test_cli_folds_each_place_key_once(self, command, newton_path, monkeypatch):
+        # Only LifeEvent folds; the parser's located check folds nothing: 8 keyed events.
         monkeypatch.delenv("VITA_GAZETTEER", raising=False)
         calls = count_calls(monkeypatch, fold_key)
         assert main([command[0], str(newton_path), *command[1:]]) == 0
-        assert calls[0] == 2 * 8
+        assert calls[0] == 8
 
     def test_emitters_fold_no_key(self, newton_path, gazetteer_path, monkeypatch):
         b = parse_biography(newton_path.read_text(encoding="utf-8"))
@@ -551,3 +551,10 @@ class TestComplexityGuards:
         route_stats(legs, b)
         distance_matrix(b, gaz)
         assert calls[0] == 0
+
+    def test_parser_builds_one_interval_per_event(self, monkeypatch):
+        text = serialize_biography(generated_biography(400))
+        assert text.count("\nend = ") >= 300
+        calls = count_calls(monkeypatch, DateInterval)
+        b = parse_biography(text)
+        assert calls[0] == len(b.events) == 400

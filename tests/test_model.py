@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
+import operator
 import pickle
 import random
 from datetime import date, timedelta
@@ -11,6 +13,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
+from vitamap import model
 from vitamap.gazetteer import GazetteerEntry
 from vitamap.model import (
     Biography,
@@ -282,6 +285,50 @@ class TestEventKey:
             LifeEvent(id="a", kind="other", when=year_interval(1900), place_key="x", key="x")
 
 
+def residence(id: str, start_day: int, end_day: int) -> LifeEvent:
+    when = DateInterval(from_day_number(start_day), from_day_number(end_day))
+    return LifeEvent(id=id, kind="residence", when=when, place_key="somewhere")
+
+
+def pairwise_overlaps(biography: Biography) -> list[tuple[str, str]]:
+    """Reference: every residence against every earlier one, in authoring order."""
+    found = []
+    earlier: list[LifeEvent] = []
+    for e in biography.events:
+        if e.kind == "residence":
+            for other in earlier:
+                if e.when.overlaps(other.when):
+                    found.append((e.id, f"overlapping residences: '{other.id}' and '{e.id}'"))
+            earlier.append(e)
+    return found
+
+
+def overlap_warnings(biography: Biography) -> list[tuple[str | None, str]]:
+    return [
+        (d.event_id, d.message)
+        for d in validate_biography(biography)
+        if d.message.startswith("overlapping residences")
+    ]
+
+
+@st.composite
+def residence_timelines(draw) -> Biography:
+    """Residences (and a few visits) over a short span of days, in any
+    order: zero-length, identical, nested and overlapping ones are common."""
+    spans = draw(
+        st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 30), st.booleans()),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    events = []
+    for i, (start, length, is_residence) in enumerate(spans):
+        e = residence(f"r{i}", start, start + length)
+        events.append(e if is_residence else dataclasses.replace(e, kind="visit"))
+    return Biography(title="T", id="t", events=tuple(events))
+
+
 class TestValidateBiography:
     def test_clean_biography_is_empty(self):
         b = Biography(title="T", id="t", events=(event("a", year=1700), event("b", year=1800)))
@@ -309,6 +356,52 @@ class TestValidateBiography:
         assert [d.severity for d in diags] == ["warning"]
         assert "overlapping residences" in diags[0].message
         assert diags[0].event_id == "r2"
+
+    @given(residence_timelines())
+    def test_overlaps_match_pairwise_reference(self, b):
+        assert overlap_warnings(b) == pairwise_overlaps(b)
+
+    def test_overlaps_are_named_in_authoring_order(self):
+        # Out of order, identical, nested and zero-length residences.
+        events = (
+            residence("late", 500, 900),
+            residence("early", 100, 600),
+            residence("twin", 100, 600),
+            residence("inner", 550, 560),
+            residence("point", 560, 560),
+            residence("apart", 1000, 1000),
+        )
+        b = Biography(title="T", id="t", events=events)
+        assert overlap_warnings(b) == pairwise_overlaps(b)
+        assert [m for e, m in overlap_warnings(b) if e == "point"] == [
+            "overlapping residences: 'late' and 'point'",
+            "overlapping residences: 'early' and 'point'",
+            "overlapping residences: 'twin' and 'point'",
+            "overlapping residences: 'inner' and 'point'",
+        ]
+
+    def test_overlap_check_is_n_log_n_in_comparisons(self, monkeypatch):
+        # R chronological residences, each overlapping the one before it.
+        # Day numbers count every comparison made with them; the pairwise
+        # check makes about R*R/2.
+        comparisons = [0]
+
+        class CountedDay(int):
+            __hash__ = int.__hash__
+
+        for name in ("lt", "le", "gt", "ge", "eq", "ne"):
+            def compare(self, other, op=getattr(operator, name)):
+                comparisons[0] += 1
+                return op(int(self), int(other))
+
+            setattr(CountedDay, f"__{name}__", compare)
+
+        r = 1024
+        events = tuple(residence(f"r{i}", 20 * i, 20 * i + 25) for i in range(r))
+        b = Biography(title="T", id="t", events=events)
+        monkeypatch.setattr(model, "to_day_number", lambda d: CountedDay(to_day_number(d)))
+        assert len(validate_biography(b)) == r - 1
+        assert 0 < comparisons[0] <= 8 * r * math.log2(r)
 
     def test_non_residence_overlap_is_fine(self):
         e1 = event("w1", kind="work", year=1700)

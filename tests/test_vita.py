@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vitamap.model import Biography, CalendarDate, DateInterval, GeoPoint, LifeEvent
+from vitamap.model import Biography, CalendarDate, DateInterval, GeoPoint, LifeEvent, fold_key
 from vitamap.vita import (
+    _FOLDS_TO_EMPTY,
     VitaParseError,
     parse_biography,
     parse_date_expr,
@@ -230,6 +231,11 @@ class TestParseBiography:
         assert [(d.line, d.column, d.message) for d in diags] == [
             (9, 9, "name normalizes to empty key: '-_-'")
         ]
+
+    @given(st.text() | st.text(" \t\n\r\f\v\x1c\x85\xa0\u2028\u3000_-Aİ"))
+    def test_empty_key_check_agrees_with_fold_key(self, name):
+        # The parser reports an empty key without folding the name.
+        assert bool(_FOLDS_TO_EMPTY(name)) == (fold_key(name) == "")
 
     def test_gazetteer_hint(self):
         src = NEWTON_MINIMAL.replace("id = newton", "id = newton\ngazetteer = places.tsv")
