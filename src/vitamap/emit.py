@@ -195,24 +195,22 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
     _check_valid(biography)
     features = []
     for event, point in itinerary_stops(biography, gazetteer):
-        properties = ", ".join(
-            (
-                f'"id": {json.dumps(event.id)}',
-                f'"label": {json.dumps(event.label, ensure_ascii=False)}',
-                f'"kind": {json.dumps(event.kind)}',
-                f'"start": "{event.when.start.isoformat()}"',
-                f'"end": "{event.when.end.isoformat()}"',
-                f'"circa": {"true" if event.when.circa else "false"}',
-                f'"note": {json.dumps(event.note, ensure_ascii=False)}',
-                f'"attachments": {json.dumps(list(event.attachments), ensure_ascii=False)}',
-            )
-        )
+        properties = {
+            "id": event.id,
+            "label": event.label,
+            "kind": event.kind,
+            "start": event.when.start.isoformat(),
+            "end": event.when.end.isoformat(),
+            "circa": event.when.circa,
+            "note": event.note,
+            "attachments": event.attachments,
+        }
         features.append(
             "    {\n"
             '      "type": "Feature",\n'
             '      "geometry": {"type": "Point", "coordinates": '
             f"[{point.lon:.6f}, {point.lat:.6f}]}},\n"
-            f'      "properties": {{{properties}}}\n'
+            f'      "properties": {json.dumps(properties, ensure_ascii=False)}\n'
             "    }"
         )
     body = ",\n".join(features)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import os
 import re
-from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
+from heapq import heappop, heappush
 
 TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9-]*\Z")
 
@@ -290,28 +290,28 @@ def validate_biography(
     the first event with its id (None for events built directly). The
     result is deterministic for identical inputs.
     """
+    events = biography.events
+    days = [(to_day_number(e.when.start), to_day_number(e.when.end)) for e in events]
+    # Sweep residences in start order; the heap holds, by end day, those not
+    # yet ended, which all overlap the next. The later-authored one reports.
+    overlapped: dict[int, list[int]] = {}  # authoring index -> earlier ones
+    ongoing: list[tuple[int, int]] = []  # (end day, authoring index)
+    for start, i in sorted((days[i][0], i) for i, e in enumerate(events) if e.kind == "residence"):
+        while ongoing and ongoing[0][0] < start:
+            heappop(ongoing)
+        for _, j in ongoing:
+            overlapped.setdefault(max(i, j), []).append(min(i, j))
+        heappush(ongoing, (days[i][1], i))
+
     out: list[Diagnostic] = []
-    # Earlier residences as (end day, authoring index, start day, id), sorted
-    # by end day: those that can overlap a new one form the tail whose end
-    # day is at least its start day.
-    residences: list[tuple[int, int, int, str]] = []
-    prev_start: int | None = None
-
-    for event, line, errors in _checked_events(biography):
+    for i, (event, line, errors) in enumerate(_checked_events(biography)):
         out += errors
-        start_day = to_day_number(event.when.start)
-        end_day = to_day_number(event.when.end)
-
-        if event.kind == "residence":
-            tail = residences[bisect_left(residences, (start_day,)) :]
-            for _, earlier_id in sorted((i, rid) for _, i, s, rid in tail if s <= end_day):
-                message = f"overlapping residences: '{earlier_id}' and '{event.id}'"
+        if i in overlapped:
+            for j in sorted(overlapped[i]):
+                message = f"overlapping residences: '{events[j].id}' and '{event.id}'"
                 out.append(Diagnostic("warning", event.id, message, line))
-            insort(residences, (end_day, len(residences), start_day, event.id))
-
-        if prev_start is not None and start_day < prev_start:
+        if i and days[i][0] < days[i - 1][0]:
             out.append(Diagnostic("warning", event.id, "event out of chronological order", line))
-        prev_start = start_day
 
         if base_dir is not None:
             for attachment in event.attachments:

@@ -64,7 +64,7 @@ _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))
 _FOLDS_TO_EMPTY = re.compile(r"[\s_-]*\Z").match
 
 # A key's value and the line it is on; its column is found again from the
-# line only when a finding needs it (see _value_column).
+# line only when a finding needs it (see _at).
 _Pair = tuple[str, int]
 
 
@@ -157,8 +157,6 @@ def parse_biography(source: str) -> Biography:
                 saw_event_block = True
                 event_line, pairs, attachments = lineno, {}, []
             elif name == "biography" and not bio_line:
-                if saw_event_block:
-                    report_missing_header()
                 bio_line, pairs = lineno, bio_pairs
             else:
                 if name == "biography":
@@ -212,16 +210,12 @@ def _first_column(line: str) -> int:
     return len(line) - len(line.lstrip(_ASCII_WS)) + 1
 
 
-def _value_column(lines: list[str], lineno: int) -> int:
-    """The 1-based column of the (non-empty) value on a ``key = value`` line."""
-    text = lines[lineno - 1].partition("#")[0].rstrip(_ASCII_WS)
-    value = text.partition("=")[2].lstrip(_ASCII_WS)
-    return len(text) - len(value) + 1
-
-
 def _at(lines: list[str], pair: _Pair, message: str) -> Diagnostic:
-    """A finding at the value of a (value, line) pair."""
-    return ParseDiagnostic(pair[1], _value_column(lines, pair[1]), message)
+    """A finding at the value of a (value, line) pair. The value ends its
+    line once the comment is cut and trailing blanks are stripped."""
+    value, lineno = pair
+    text = lines[lineno - 1].partition("#")[0].rstrip(_ASCII_WS)
+    return ParseDiagnostic(lineno, len(text) - len(value) + 1, message)
 
 
 def _finish_biography(

@@ -339,6 +339,16 @@ class TestOutputs:
         golden = schiaparelli_path.parent / "golden" / "schiaparelli.geojson"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_zero_buckets_is_usage_error(self, newton_path, capsys):
+        assert main(["compile", str(newton_path), "--buckets", "0"]) == 2
+        assert "argument --buckets: must be at least 1" in capsys.readouterr().err
+
+    def test_one_bucket_styles_every_placemark_alike(self, newton_path, capsys):
+        assert main(["compile", str(newton_path), "--buckets", "1"]) == 0
+        kml = capsys.readouterr().out
+        assert kml.count("<Style ") == 1
+        assert kml.count("<styleUrl>#era-0</styleUrl>") == kml.count("<Placemark") == 8
+
     def test_no_temp_files_left_behind(self, workspace, tmp_path):
         out_dir = tmp_path / "outs"
         out_dir.mkdir()

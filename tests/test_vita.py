@@ -406,6 +406,31 @@ class TestDiagnosticColumns:
                 id="key-before-biography",
             ),
             pytest.param(
+                "[event]\nid = e\nstart = 1900\nplace = giza\n" + NEWTON_MINIMAL,
+                [(1, 1, "missing [biography] header")],
+                id="event-before-biography",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("id = newton", "id =  Bad_Id"),
+                [(3, 7, "invalid biography id 'Bad_Id'")],
+                id="invalid-biography-id",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("id = newton\n", "id = newton\ngazetteer =\t/srv/g.tsv\n"),
+                [(4, 13, "gazetteer path must be relative")],
+                id="absolute-gazetteer-path",
+            ),
+            pytest.param(
+                "[biography]\ntitle = T\nid = t\n  [event]\nid = e\nstart = 1900\n",
+                [(4, 1, "event needs a place or inline lat/lon")],
+                id="event-without-place",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("place =", " attach =  /scans/a.jpg\nplace ="),
+                [(9, 12, "attachment path must be relative")],
+                id="absolute-attachment-path",
+            ),
+            pytest.param(
                 _KIND_AFTER_TABS.replace("\n", "\r\n"),
                 [(7, 9, "unknown kind 'born'"), (10, 2, "unknown key 'bogus' in [event]")],
                 id="crlf-line-ends",
