@@ -26,6 +26,9 @@ hint inside the biography file (relative to that file), then
 ``./gazetteer.tsv``. Only the last, implicit fallback may be absent;
 it then resolves to an empty gazetteer so fully inline-located files
 still compile.
+
+:func:`build_parser` builds only the subparser the first argument names:
+all six took as long as a whole ``stats`` run on a bundled corpus.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import argparse
 import os
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -75,18 +78,37 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand, in help order, with its one-line help.
+COMMANDS = {
+    "validate": "check a biography and print diagnostics",
+    "compile": "emit KML (default) or GeoJSON",
+    "itinerary": "print the chronological route with distances",
+    "distances": "sequential legs, or a pairwise place matrix",
+    "stats": "print route summary figures",
+    "geocode": "ask a remote geocoder for a gazetteer row",
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser ``argv[0]`` names, else with all six."""
+    wanted = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     parser = argparse.ArgumentParser(
         prog="vitamap",
         description="Compile biography timeline files into georeferenced outputs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # "unrecognized arguments" prints this usage line: name all six in it.
+    every = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+
+    def command(name: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=COMMANDS[name]) if name in wanted else None
 
     def input_command(
-        name: str, help_text: str, formatter: Formatter | None = None
-    ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        name: str, formatter: Formatter | None = None
+    ) -> argparse.ArgumentParser | None:
+        if not (p := command(name)):
+            return None
         p.add_argument("input", help="path to a .vita biography file")
         p.add_argument(
             "--gazetteer",
@@ -104,43 +126,44 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(func=partial(_run, formatter))
         return p
 
-    input_command("validate", "check a biography and print diagnostics")
+    input_command("validate")
 
-    p = input_command("compile", "emit KML (default) or GeoJSON", _compile)
-    p.add_argument("--format", choices=("kml", "geojson"), default="kml")
-    p.add_argument(
-        "--buckets",
-        type=_positive_int,
-        default=5,
-        metavar="N",
-        help="timeline color bucket count (default 5)",
-    )
+    if p := input_command("compile", _compile):
+        p.add_argument("--format", choices=("kml", "geojson"), default="kml")
+        p.add_argument(
+            "--buckets",
+            type=_positive_int,
+            default=5,
+            metavar="N",
+            help="timeline color bucket count (default 5)",
+        )
 
-    p = input_command("itinerary", "print the chronological route with distances", _itinerarium)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
+    if p := input_command("itinerary", _itinerarium):
+        p.add_argument("--format", choices=("text", "csv"), default="text")
 
-    p = input_command("distances", "sequential legs, or a pairwise place matrix", _distances)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument(
-        "--matrix",
-        action="store_true",
-        help="emit a symmetric km matrix over distinct places (CSV)",
-    )
+    if p := input_command("distances", _distances):
+        p.add_argument("--format", choices=("text", "csv"), default="text")
+        p.add_argument(
+            "--matrix",
+            action="store_true",
+            help="emit a symmetric km matrix over distinct places (CSV)",
+        )
 
-    input_command("stats", "print route summary figures", _stats)
+    input_command("stats", _stats)
 
-    p = sub.add_parser("geocode", help="ask a remote geocoder for a gazetteer row")
-    p.add_argument("name", help="place name to look up")
-    p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
-    p.set_defaults(func=cmd_geocode)
+    if p := command("geocode"):
+        p.add_argument("name", help="place name to look up")
+        p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
+        p.set_defaults(func=cmd_geocode)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:

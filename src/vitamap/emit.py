@@ -323,6 +323,7 @@ def distance_matrix(
         row_start.append(len(upper) - i - 1)
         upper.extend(right)
         rows.append(f"{label},{template % (*left, 0.0, *right)}\n")
+    del upper, row_start  # the join below would hold the triangle at its peak
     return "".join(rows)
 
 

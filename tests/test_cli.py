@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import os
@@ -11,12 +12,13 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vitamap import gazetteer
-from vitamap.cli import main
+from vitamap.cli import COMMANDS, build_parser, main
 from vitamap.model import GeoPoint
 
 OK_VITA = """\
@@ -445,6 +447,115 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """stdout, stderr, exit code (None if parsed) and namespace of one parse.
+
+    Each build makes its own partials, so ``func`` is compared by its args.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code = names = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            names = {k: getattr(v, "args", v) for k, v in vars(parser.parse_args(argv)).items()}
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, names
+
+
+def _every_option(parser: argparse.ArgumentParser) -> set[str]:
+    options: set[str] = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action.choices, dict):  # the subcommands' parsers
+            for subparser in action.choices.values():
+                options |= _every_option(subparser)
+    return options
+
+
+_ARGV_WORDS = sorted({*COMMANDS, *_every_option(build_parser()), "--"})
+
+
+class TestSelectiveParser:
+    """build_parser(argv) builds only argv[0]'s subparser, and parses,
+    prints and exits exactly as the parser of all six does."""
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([name, "-h"] for name in COMMANDS),
+            ["--version"],
+            [],
+            ["bogus"],
+            ["comp"],
+            ["--", "stats", "x"],
+            ["stats", "--", "-x"],
+            ["stats", "x", "extra"],
+            ["validate", "x", "-o", "y"],
+            ["compile", "x", "--buckets", "0"],
+            ["compile", "x", "--format", "svg"],
+            ["stats", "x", "--gaz", "g"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-args",
+    )
+    def test_same_result_as_the_full_parser(self, argv, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        argv=st.lists(st.one_of(st.sampled_from(_ARGV_WORDS), st.text(max_size=4)), max_size=6),
+        columns=st.sampled_from(["40", "80", "200"]),
+    )
+    def test_any_argv_same_result_as_the_full_parser(self, argv, columns):
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+            assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+    def test_a_named_subcommand_builds_two_parsers(self, newton_path, monkeypatch, capsys):
+        monkeypatch.delenv("VITA_GAZETTEER", raising=False)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["stats", str(newton_path), "--strict"]) == 0
+        assert built == ["vitamap", "vitamap stats"]
+        assert main(["--help"]) == 0
+        usage, listing = capsys.readouterr().out.split("positional arguments:")
+        for name, help_text in COMMANDS.items():
+            assert name in usage
+            assert re.search(rf"^    {name} +{re.escape(help_text)}$", listing, re.M)
+
+    def test_missing_subcommand_error_is_unchanged(self, capsys):
+        # The differential cannot see a change both builds share.
+        assert main([]) == 2
+        assert capsys.readouterr().err.endswith(
+            "vitamap: error: the following arguments are required: command\n"
+        )
+
+    def test_console_run_usage_error_names_every_subcommand(self, newton_path, tmp_path):
+        # Without argv, main reads sys.argv; the error's usage is --help's.
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
+
+        def run(*argv: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "vitamap", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=tmp_path,
+            )
+
+        error = run("stats", str(newton_path), "extra")
+        assert error.returncode == 2
+        usage, message = error.stderr.split("vitamap: error: ")
+        assert message == "unrecognized arguments: extra\n"
+        assert usage == run("--help").stdout.split("\n\n")[0] + "\n"
 
 
 # Lines of the .vita grammar. A generated file is a well-formed skeleton

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -520,6 +521,24 @@ class TestComplexityGuards:
         rows = list(csv.reader(io.StringIO(distance_matrix(simple_biography(*events), GAZ))))
         assert len(rows) == places + 1
         assert calls[0] == places * (places - 1) // 2
+
+    def test_distance_matrix_peak_is_about_twice_its_output(self):
+        # The rows and their join are each about the output's size; the
+        # triangle of distances, about 0.45 of it, is freed before the join.
+        places = 300
+        events = []
+        for i in range(places):
+            point = GeoPoint(-80 + i / 2, 1.19 * (37 * i % places) - 179)
+            events.append(day_event(f"e{i}", 1000 + i, 1, 1, place_key=None, point=point))
+        b = simple_biography(*events)
+        tracemalloc.start()
+        try:
+            text = distance_matrix(b, GAZ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == places + 1
+        assert peak < 2.3 * len(text)
 
     @pytest.mark.parametrize(
         "command",
