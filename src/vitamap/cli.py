@@ -16,9 +16,10 @@ error, an input or gazetteer that is not UTF-8 included. Diagnostics
 go to stderr, one per line, as ``LEVEL file:line message``; stdout
 carries only payload so output can be piped. Runs are deterministic:
 no timestamps, no locale-dependent formatting, and no network access
-unless geocode is given an explicit endpoint. File outputs are written
-to a temporary file and renamed into place so a failure never leaves a
-truncated document behind.
+unless geocode is given an explicit endpoint. Payload is UTF-8 whatever
+the locale, and a failed write to stdout (a full disk, a closed pipe)
+is an I/O error. File outputs are written to a temporary file and
+renamed into place so a failure never leaves a truncated document behind.
 
 The gazetteer is found in precedence order: ``--gazetteer`` flag, then
 the ``VITA_GAZETTEER`` environment variable, then the ``gazetteer``
@@ -38,6 +39,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Sequence
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
@@ -254,28 +256,42 @@ def _load_gazetteer_for(
         raise _fail(gaz_path, exc.diagnostics)
 
 
+def _write_utf8(text: str, binary, size: int = 1 << 16) -> None:
+    # A code point encodes on its own, so a cut between any two is safe.
+    for start in range(0, len(text), size):
+        binary.write(text[start : start + size].encode("utf-8"))
+    binary.flush()
+
+
 def _write_output(text: str, output: str | None) -> None:
-    if output is None:
+    if output is None and not hasattr(sys.stdout, "buffer"):  # io.StringIO takes text
         sys.stdout.write(text)
         return
-    import tempfile  # with shutil and random, only -o needs it
-
-    target = Path(output)
-    directory = target.parent if str(target.parent) else Path(".")
     try:
+        if output is None:
+            sys.stdout.flush()
+            _write_utf8(text, sys.stdout.buffer)
+            return
+        import tempfile  # with shutil and random, only -o needs it
+
+        target = Path(output)
+        directory = target.parent if str(target.parent) else Path(".")
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{target.name}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                _write_utf8(text, handle)
             os.replace(tmp, target)
         except OSError:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
     except OSError as exc:
-        raise _CliFailure(EXIT_USAGE, f"cannot write output '{output}': {exc.strerror or exc}")
+        if output is None:
+            # What stays buffered goes to os.devnull at exit, not to a traceback.
+            with suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        name = "<stdout>" if output is None else output
+        raise _CliFailure(EXIT_USAGE, f"cannot write output '{name}': {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ the first and last stop's start day, once per document, and the
 distance matrix computes each unordered pair of places once.
 
 All three emitters are pure text producers: identical inputs give
-byte-identical output. Coordinates are written with 6 decimal places
-(about 0.11 m, beyond source accuracy, and diff-stable) and distances
-with 3, rounded half-even. Nothing here touches the filesystem.
+byte-identical output. The KML, GeoJSON and matrix documents are built
+from one string per record (a placemark, a feature, a row), joined
+once, so each peaks near twice its own size. Coordinates are written
+with 6 decimal places (about 0.11 m, beyond source accuracy, and
+diff-stable) and distances with 3, rounded half-even. Nothing here
+touches the filesystem.
 """
 
 from __future__ import annotations
@@ -152,37 +155,37 @@ def emit_kml(
     ]
 
     out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<kml xmlns="{KML_NAMESPACE}">',
-        "  <Document>",
-        f"    <name>{_xml_escape(biography.title)}</name>",
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<kml xmlns="{KML_NAMESPACE}">\n'
+        "  <Document>\n"
+        f"    <name>{_xml_escape(biography.title)}</name>"
     ]
-    for bucket in sorted(set(buckets)):
-        out += [
-            f'    <Style id="era-{bucket}">',
-            "      <IconStyle>",
-            f"        <color>{config.color_for(bucket)}</color>",
-            "      </IconStyle>",
-            "    </Style>",
-        ]
+    out += (
+        f'    <Style id="era-{bucket}">\n'
+        "      <IconStyle>\n"
+        f"        <color>{config.color_for(bucket)}</color>\n"
+        "      </IconStyle>\n"
+        "    </Style>"
+        for bucket in sorted(set(buckets))
+    )
     for (event, point), bucket in zip(stops, buckets):
         description = _description(event, config.include_attachments)
-        out += [
-            "    <Placemark>",
-            f"      <name>{_xml_escape(_placemark_name(event))}</name>",
-            f"      <description>{description}</description>",
-            "      <TimeSpan>",
-            f"        <begin>{event.when.start.isoformat()}</begin>",
-            f"        <end>{event.when.end.isoformat()}</end>",
-            "      </TimeSpan>",
-            f"      <styleUrl>#era-{bucket}</styleUrl>",
-            "      <Point>",
-            f"        <coordinates>{point.lon:.6f},{point.lat:.6f},0</coordinates>",
-            "      </Point>",
-            "    </Placemark>",
-        ]
-    out += ["  </Document>", "</kml>"]
-    return "\n".join(out) + "\n"
+        out.append(
+            "    <Placemark>\n"
+            f"      <name>{_xml_escape(_placemark_name(event))}</name>\n"
+            f"      <description>{description}</description>\n"
+            "      <TimeSpan>\n"
+            f"        <begin>{event.when.start.isoformat()}</begin>\n"
+            f"        <end>{event.when.end.isoformat()}</end>\n"
+            "      </TimeSpan>\n"
+            f"      <styleUrl>#era-{bucket}</styleUrl>\n"
+            "      <Point>\n"
+            f"        <coordinates>{point.lon:.6f},{point.lat:.6f},0</coordinates>\n"
+            "      </Point>\n"
+            "    </Placemark>"
+        )
+    out += ["  </Document>\n</kml>", ""]  # "" ends the text with "\n" inside the join
+    return "\n".join(out)
 
 
 def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> str:
@@ -193,7 +196,9 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
     (id, label, kind, start, end, circa, note, attachments).
     """
     _check_valid(biography)
+    # One string per feature: the head opens the first, the tail closes the last.
     features = []
+    head = '{\n  "type": "FeatureCollection",\n  "features": [\n'
     for event, point in itinerary_stops(biography, gazetteer):
         properties = {
             "id": event.id,
@@ -206,22 +211,16 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
             "attachments": event.attachments,
         }
         features.append(
-            "    {\n"
+            f"{head}    {{\n"
             '      "type": "Feature",\n'
             '      "geometry": {"type": "Point", "coordinates": '
             f"[{point.lon:.6f}, {point.lat:.6f}]}},\n"
             f'      "properties": {json.dumps(properties, ensure_ascii=False)}\n'
             "    }"
         )
-    body = ",\n".join(features)
-    return (
-        "{\n"
-        '  "type": "FeatureCollection",\n'
-        '  "features": [\n'
-        f"{body}\n"
-        "  ]\n"
-        "}\n"
-    )
+        head = ""
+    features[-1] += "\n  ]\n}\n"
+    return ",\n".join(features)
 
 
 ITINERARY_CSV_HEADER = ("index", "start", "end", "place", "label", "lat", "lon", "leg_km", "cum_km")

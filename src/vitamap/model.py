@@ -119,7 +119,7 @@ def from_day_number(n: int) -> date:
     return date.fromordinal(ordinal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateInterval:
     """Inclusive [start, end] calendar-day interval with a circa flag."""
 
@@ -139,7 +139,7 @@ class DateInterval:
 # Events and biographies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LifeEvent:
     """One georeferenced timeline entry: a time interval plus a place.
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -17,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vitamap import gazetteer
+from vitamap import cli, gazetteer
 from vitamap.cli import COMMANDS, build_parser, main
 from vitamap.model import GeoPoint
 
@@ -400,6 +404,119 @@ class TestOutputs:
         assert capsys.readouterr().out == first
 
 
+def _cli(*args: str) -> list[str]:
+    return [sys.executable, "-m", "vitamap", *args]
+
+
+def _env(**extra: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **extra)
+    env.pop("VITA_GAZETTEER", None)
+    return env
+
+
+def long_vita(workspace: Path) -> str:
+    """A biography whose KML, about 330 KB, overfills a pipe's buffer."""
+    path = workspace / "long.vita"
+    path.write_text(
+        OK_VITA
+        + "".join(
+            f"\n[event]\nid = e{i}\nkind = visit\nstart = {1961 + i}\nplace = home\n"
+            for i in range(1000)
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestStdoutBytes:
+    """Stdout carries what -o writes, UTF-8 whatever the locale; a failed
+    write to it is an I/O error, reported like one to a file."""
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
+    def test_stdout_equals_the_output_file(self, workspace, encoding):
+        path = workspace / "accents.vita"
+        path.write_text(
+            OK_VITA.replace("Tiny Life", "Vie d'Ångström").replace(
+                "place = home", "place = home\nlabel = Café 東京"
+            ),
+            encoding="utf-8",
+        )
+        out = workspace / "out"
+        for command in (["compile"], ["compile", "--format", "geojson"], ["itinerary", "--format", "csv"]):
+            written = subprocess.run(_cli(*command, str(path), "-o", str(out)), env=_env(), cwd=workspace)
+            assert written.returncode == 0
+            done = subprocess.run(
+                _cli(*command, str(path)),
+                env=_env(PYTHONIOENCODING=encoding),
+                cwd=workspace,
+                capture_output=True,
+            )
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert done.stdout == out.read_bytes()
+            assert "Café 東京".encode() in done.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", ["stats", "compile"])
+    def test_full_device_is_an_io_error(self, workspace, command):
+        # The stats text waits in the stream's buffer; the KML overfills it.
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                _cli(command, long_vita(workspace)),
+                env=_env(),
+                cwd=workspace,
+                stdout=full,
+                stderr=subprocess.PIPE,
+            )
+        assert done.returncode == 2
+        message = f"cannot write output '<stdout>': {os.strerror(errno.ENOSPC)}\n"
+        assert done.stderr == message.encode()
+
+    def test_closed_pipe_is_an_io_error(self, workspace):
+        with subprocess.Popen(
+            _cli("compile", long_vita(workspace)),
+            env=_env(),
+            cwd=workspace,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            # The reader is gone before the KML, larger than any pipe buffer, is written.
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        assert err == f"cannot write output '<stdout>': {os.strerror(errno.EPIPE)}\n".encode()
+
+
+class TestWriteMemory:
+    """The payload is encoded a bounded slice at a time, never whole."""
+
+    TEXT = "Café à l'Hôtel\n" * (2**20 // 15)  # 1 MiB of Latin-1 text
+
+    def added_peak(self, write) -> int:
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_file(self, tmp_path):
+        out = tmp_path / "out.txt"
+        cli._write_output("warm", str(out))  # imports tempfile outside the trace
+        peak = self.added_peak(lambda: cli._write_output(self.TEXT, str(out)))
+        encoded = self.TEXT.encode("utf-8")
+        assert out.read_bytes() == encoded
+        assert peak < 0.3 * len(encoded)
+
+    def test_binary_stdout(self, tmp_path, monkeypatch):
+        out = tmp_path / "stdout.txt"
+        with open(out, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            peak = self.added_peak(lambda: cli._write_output(self.TEXT, None))
+        encoded = self.TEXT.encode("utf-8")
+        assert out.read_bytes() == encoded
+        assert peak < 0.3 * len(encoded)
+
+
 def test_module_entry_point(newton_path, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run(
@@ -609,15 +726,20 @@ class TestAnyInput:
         path = property_dir / "any.vita"
         path.write_bytes(data)
         located = re.compile(rf"(error|warning) {re.escape(str(path))}:\d+ .+")
-        for command in ("validate", "compile", "stats"):
-            err = io.StringIO()
+        gaz = ["--gazetteer", str(property_dir / "gazetteer.tsv")]
+        for command in (["validate"], ["compile"], ["compile", "--format", "geojson"], ["stats"]):
+            err, out = io.StringIO(), io.StringIO()
             # A run outside the test harness prints any Python warning to
             # stderr, unlocated; here it is recorded instead.
             with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
                 warnings.simplefilter("always")
-                with redirect_stdout(io.StringIO()):
-                    code = main([command, str(path), "--gazetteer", str(property_dir / "gazetteer.tsv")])
+                with redirect_stdout(out):
+                    code = main([*command, str(path), *gaz])
             assert code in (0, 1, 2)
+            if code == 0 and command == ["compile"]:
+                ET.fromstring(out.getvalue().encode("utf-8"))
+            elif code == 0 and command[0] == "compile":
+                json.loads(out.getvalue())
             assert [str(w.message) for w in caught] == []
             lines = err.getvalue().split("\n")
             assert lines.pop() == ""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -539,6 +540,24 @@ class TestComplexityGuards:
             tracemalloc.stop()
         assert text.count("\n") == places + 1
         assert peak < 2.3 * len(text)
+
+    @pytest.mark.parametrize("emitter", [emit_kml, emit_geojson])
+    def test_emitter_peak_is_about_twice_its_output(self, emitter):
+        # One string per record, then one join: each is about the output's
+        # size. Latin-1 text takes one byte a code point, as len() counts it.
+        events = [
+            dataclasses.replace(e, label=f"Café {e.id}", note="Hôtel de l'Europe")
+            for e in generated_biography(3000).events
+        ]
+        b = simple_biography(*events)
+        tracemalloc.start()
+        try:
+            text = emitter(b, GAZ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("Café") == 3000
+        assert peak < 2.6 * len(text)
 
     @pytest.mark.parametrize(
         "command",

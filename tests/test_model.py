@@ -74,13 +74,25 @@ class TestGeoPoint:
 
 
 class TestSlottedValues:
-    """GeoPoint and GazetteerEntry are slotted: a gazetteer holds one of each per row."""
+    """The per-row and per-event values are slotted: a gazetteer holds a
+    GeoPoint and a GazetteerEntry per row, a biography a DateInterval and
+    a LifeEvent per event."""
 
-    @pytest.fixture(params=["point", "entry"])
+    @pytest.fixture(params=["point", "entry", "interval", "event"])
     def make(self, request):
-        if request.param == "point":
-            return lambda: GeoPoint(41.9, 12.5)
-        return lambda: GazetteerEntry("rome", "Rome", GeoPoint(41.9, 12.5), "Lazio")
+        return {
+            "point": lambda: GeoPoint(41.9, 12.5),
+            "entry": lambda: GazetteerEntry("rome", "Rome", GeoPoint(41.9, 12.5), "Lazio"),
+            "interval": lambda: DateInterval(date(1904, 2, 1), date(1904, 3, 31), circa=True),
+            "event": lambda: LifeEvent(
+                id="a",
+                kind="visit",
+                when=DateInterval(date(1904, 2, 1), date(1904, 3, 31)),
+                place_key="  Deir_el  Medina ",
+                attachments=("tomb.jpg",),
+                line=7,
+            ),
+        }[request.param]
 
     def test_no_instance_dict(self, make):
         value = make()
@@ -91,11 +103,17 @@ class TestSlottedValues:
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, first)
 
+    def test_non_field_assignment_refused(self, make):
+        # On some Pythons a frozen slotted dataclass raises TypeError here,
+        # not FrozenInstanceError; either way the assignment is refused.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            make().extra = 1
+
     def test_equality_and_hash_are_by_fields(self, make):
         value = make()
-        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+        compared = tuple(getattr(value, f.name) for f in dataclasses.fields(value) if f.compare)
         assert value == make() and value is not make()
-        assert hash(value) == hash(make()) == hash(fields)
+        assert hash(value) == hash(make()) == hash(compared)
         assert len({value, make()}) == 1
 
     def test_replace_runs_post_init(self):
@@ -103,6 +121,11 @@ class TestSlottedValues:
         entry = GazetteerEntry("rome", "Rome", GeoPoint(41.9, 12.5))
         moved = dataclasses.replace(entry, region="Lazio")
         assert moved != entry and (moved.key, moved.region) == ("rome", "Lazio")
+        with pytest.raises(ValueError, match="end precedes start"):
+            dataclasses.replace(year_interval(1904), end=date(1903, 1, 1))
+        e = event("a", place_key="giza", line=5)
+        renamed = dataclasses.replace(e, place_key="Deir el_Medina")
+        assert (renamed.key, renamed.line) == ("deir-el-medina", 5)
 
     def test_deepcopy_and_pickle_round_trip(self, make):
         value = make()
@@ -113,6 +136,7 @@ class TestSlottedValues:
         for twin in copies:
             assert type(twin) is type(value)
             assert twin == value and hash(twin) == hash(value)
+            assert dataclasses.astuple(twin) == dataclasses.astuple(value)  # key and line too
             assert not hasattr(twin, "__dict__")
 
 
@@ -261,7 +285,7 @@ class TestEventKey:
         e = event("a", place_key="Deir el_Medina")
         assert e.key == "deir-el-medina"
         assert ", key=" not in repr(e) and "'deir-el-medina'" not in repr(e)
-        twin = copy.copy(e)
+        twin = dataclasses.replace(e, line=40)  # line takes no part either
         object.__setattr__(twin, "key", "elsewhere")
         assert twin == e and hash(twin) == hash(e)
 
