@@ -20,6 +20,8 @@ unless geocode is given an explicit endpoint. Payload is UTF-8 whatever
 the locale, and a failed write to stdout (a full disk, a closed pipe)
 is an I/O error. File outputs are written to a temporary file and
 renamed into place so a failure never leaves a truncated document behind.
+An ``-o`` file gets the mode ``open(path, "w")`` would give it: 0o666
+less the umask when it is new, its own mode when it exists.
 
 The gazetteer is found in precedence order: ``--gazetteer`` flag, then
 the ``VITA_GAZETTEER`` environment variable, then the ``gazetteer``
@@ -41,6 +43,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from contextlib import suppress
 from functools import partial
+from itertools import count
 from pathlib import Path
 
 from . import __version__
@@ -272,13 +275,22 @@ def _write_output(text: str, output: str | None) -> None:
             sys.stdout.flush()
             _write_utf8(text, sys.stdout.buffer)
             return
-        import tempfile  # with shutil and random, only -o needs it
-
         target = Path(output)
-        directory = target.parent if str(target.parent) else Path(".")
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            mode = os.stat(target).st_mode & 0o777  # an existing output keeps its mode
+        except OSError:
+            mode = None  # a new one gets 0o666 less the umask, from os.open
+        for n in count():
+            tmp = target.parent / f".{target.name}.{n}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:  # another run's, or a killed run's
+                continue
         try:
             with os.fdopen(fd, "wb") as handle:
+                if mode is not None and hasattr(os, "fchmod"):  # not on Windows before 3.13
+                    os.fchmod(fd, mode)
                 _write_utf8(text, handle)
             os.replace(tmp, target)
         except OSError:

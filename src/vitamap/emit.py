@@ -20,9 +20,7 @@ touches the filesystem.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import re
 from array import array
 from dataclasses import dataclass
@@ -195,6 +193,8 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
     [lon, lat] with 6 decimals, properties in fixed key order
     (id, label, kind, start, end, circa, note, attachments).
     """
+    import json  # imported here: only GeoJSON needs it, not every start-up
+
     _check_valid(biography)
     # One string per feature: the head opens the first, the tail closes the last.
     features = []
@@ -257,6 +257,8 @@ def emit_itinerarium(
         )
 
     if fmt == "csv":
+        import csv  # imported here: only the CSV paths need it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(ITINERARY_CSV_HEADER)
@@ -329,6 +331,8 @@ def distance_matrix(
 def _csv_field(text: str) -> str:
     """``text`` as a ``csv.writer(lineterminator="\\n")`` row writes one
     field: quoted, with ``"`` doubled, where that writer quotes it."""
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([text])
     return buffer.getvalue()[:-1]

@@ -14,11 +14,11 @@ a row to paste in, so compiled outputs stay reproducible offline.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Container
 from dataclasses import dataclass
 
 from .model import (
+    TOKEN_RE,
     Diagnostic,
     GeoPoint,
     LifeEvent,
@@ -82,57 +82,77 @@ def load_gazetteer(
     entry is built only for ``keys`` (a set of folded place keys; keys
     the file lacks are ignored), in file order, or for every row when
     ``keys`` is None. An empty file is a valid empty gazetteer.
+
+    A valid row passes one test. A row that fails it, and is not blank
+    or a comment, gets one finding: the first of, in this order, the
+    column count, the key, a duplicate key, an empty display_name, the
+    latitude text, the longitude text, the latitude range and the
+    longitude range. Only a valid row defines its key, so a later row
+    with the key of a rejected one is its first definition.
     """
+    match_key = TOKEN_RE.match
     first_lines: dict[str, int] = {}  # key -> line of its first valid row
     entries: dict[str, GazetteerEntry] = {}
     diags: list[Diagnostic] = []
 
-    def reject(message: str) -> None:  # the row at ``lineno``
-        diags.append(Diagnostic("error", None, message, lineno, 1))
-
     for lineno, line in enumerate(split_lines(source), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 5:
-            reject(f"expected 5 tab-separated columns, got {len(columns)}")
-            continue
-        key, display_name, lat_text, lon_text, region = columns
-        if not is_token(key) or key.endswith("-"):  # no place folds to it
-            reject(f"invalid key '{key}'")
-            continue
-        first = first_lines.get(key)
-        if first is not None:
-            reject(f"duplicate key '{key}' (first defined on line {first})")
-            continue
-        if not display_name:
-            reject("empty display_name")
-            continue
         try:
-            lat = parse_coordinate(lat_text)
+            key, display_name, lat_text, lon_text, region = line.split("\t")
+            lat, lon = float(lat_text), float(lon_text)
         except ValueError:
-            reject(f"unparsable latitude '{lat_text}'")
-            continue
-        try:
-            lon = parse_coordinate(lon_text)
-        except ValueError:
-            reject(f"unparsable longitude '{lon_text}'")
-            continue
-        # NaN is out of range too. Unlike GeoPoint, which normalizes an
-        # out-of-range longitude, the gazetteer rejects it.
-        if not -90.0 <= lat <= 90.0:
-            reject("latitude out of range")
-            continue
-        if not -180.0 < lon <= 180.0:
-            reject("longitude out of range")
-            continue
-        first_lines[key] = lineno
-        if keys is None or key in keys:
-            entries[key] = GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
+            pass
+        else:
+            # The last four tests are parse_coordinate's rule. NaN fails the
+            # range tests; unlike GeoPoint, which normalizes an out-of-range
+            # longitude, the gazetteer rejects it.
+            if (
+                match_key(key)
+                and key[-1] != "-"  # no place folds to it
+                and key not in first_lines
+                and display_name
+                and -90.0 <= lat <= 90.0
+                and -180.0 < lon <= 180.0
+                and lat_text.isascii()
+                and lon_text.isascii()
+                and "_" not in lat_text
+                and "_" not in lon_text
+            ):
+                first_lines[key] = lineno
+                if keys is None or key in keys:
+                    entries[key] = GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
+                continue
+        if line.strip() and not line.startswith("#"):
+            diags.append(Diagnostic("error", None, _row_finding(line, first_lines), lineno, 1))
 
     if diags:
         raise GazetteerParseError(diags)
     return entries
+
+
+def _row_finding(line: str, first_lines: dict[str, int]) -> str:
+    """The message for a row that failed load_gazetteer's valid-row test."""
+    columns = line.split("\t")
+    if len(columns) != 5:
+        return f"expected 5 tab-separated columns, got {len(columns)}"
+    key, display_name, lat_text, lon_text, _ = columns
+    if not is_token(key) or key.endswith("-"):
+        return f"invalid key '{key}'"
+    first = first_lines.get(key)
+    if first is not None:
+        return f"duplicate key '{key}' (first defined on line {first})"
+    if not display_name:
+        return "empty display_name"
+    try:
+        lat = parse_coordinate(lat_text)
+    except ValueError:
+        return f"unparsable latitude '{lat_text}'"
+    try:
+        parse_coordinate(lon_text)
+    except ValueError:
+        return f"unparsable longitude '{lon_text}'"
+    if not -90.0 <= lat <= 90.0:
+        return "latitude out of range"
+    return "longitude out of range"  # the one test left that the row can fail
 
 
 def gazetteer_row(entry: GazetteerEntry) -> str:
@@ -183,6 +203,7 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
     """
     # Imported here: only ``geocode`` needs them, and urllib.request alone
     # is a few dozen modules on every other command's start-up.
+    import json
     import urllib.error
     import urllib.parse
     import urllib.request

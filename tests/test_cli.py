@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -486,6 +487,38 @@ class TestStdoutBytes:
         assert err == f"cannot write output '<stdout>': {os.strerror(errno.EPIPE)}\n".encode()
 
 
+class TestOutputMode:
+    """An -o file gets the mode that open(path, "w") would give it."""
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_new_output_gets_0666_less_the_umask(self, workspace, umask, mode):
+        out = workspace / "new.kml"
+        done = subprocess.run(
+            _cli("compile", vita(workspace, "ok"), "-o", str(out)),
+            env=_env(),
+            cwd=workspace,
+            umask=umask,
+        )
+        assert done.returncode == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("mode", [0o640, 0o666], ids=["0640", "0666"])
+    def test_existing_output_keeps_its_mode(self, workspace, mode):
+        out = workspace / "old.kml"
+        out.write_text("stale", encoding="utf-8")
+        out.chmod(mode)
+        done = subprocess.run(
+            _cli("compile", vita(workspace, "ok"), "-o", str(out)),
+            env=_env(),
+            cwd=workspace,
+            umask=0o022,
+        )
+        assert done.returncode == 0
+        assert out.read_text(encoding="utf-8").startswith("<?xml")
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert sorted(p.name for p in workspace.glob(".*.tmp")) == []
+
+
 class TestWriteMemory:
     """The payload is encoded a bounded slice at a time, never whole."""
 
@@ -501,7 +534,7 @@ class TestWriteMemory:
 
     def test_file(self, tmp_path):
         out = tmp_path / "out.txt"
-        cli._write_output("warm", str(out))  # imports tempfile outside the trace
+        cli._write_output("warm", str(out))  # the traced write replaces a file
         peak = self.added_peak(lambda: cli._write_output(self.TEXT, str(out)))
         encoded = self.TEXT.encode("utf-8")
         assert out.read_bytes() == encoded
@@ -547,14 +580,15 @@ def test_cli_import_skips_urllib_request(tmp_path):
 def test_cli_import_skips_calendar_and_locale(tmp_path):
     # -S keeps site-wide preloads out, so sys.modules holds only what
     # importing vitamap.cli pulls in. tempfile (with shutil, random, bz2
-    # and lzma) is for -o only. Later 3.13 releases import typing from
+    # and lzma) is not needed; csv and json are for their output formats
+    # only. Later 3.13 releases import typing from
     # inspect, which dataclasses imports; so only what vitamap adds after
     # dataclasses counts.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dataclasses; "
         "before = set(sys.modules); import vitamap.cli; "
         "print(sorted({'calendar', 'locale', 'tempfile', 'shutil', 'random', 'bz2', 'lzma',"
-        " 'typing'} & (set(sys.modules) - before)))"
+        " 'typing', 'csv', 'json'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(REPO / "src")],

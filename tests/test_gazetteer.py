@@ -18,7 +18,16 @@ from vitamap.gazetteer import (
     remote_resolve,
     resolve,
 )
-from vitamap.model import CalendarDate, DateInterval, GeoPoint, LifeEvent
+from vitamap.model import (
+    CalendarDate,
+    DateInterval,
+    Diagnostic,
+    GeoPoint,
+    LifeEvent,
+    is_token,
+    parse_coordinate,
+    split_lines,
+)
 
 GIZA_ROW = "giza\tGiza\t29.9773\t31.1325\tEgypt"
 
@@ -195,6 +204,122 @@ class TestLoadGazetteerKeys:
             tracemalloc.stop()
         assert list(entries) == ["site-12345"]
         assert peak < 6 * len(source)
+
+
+def reference_load(source, keys=None):
+    """load_gazetteer as it was with one early ``continue`` per finding:
+    the reference that the one valid-row test must agree with."""
+    first_lines, entries, diags = {}, {}, []
+
+    def reject(message):
+        diags.append(Diagnostic("error", None, message, lineno, 1))
+
+    for lineno, line in enumerate(split_lines(source), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) != 5:
+            reject(f"expected 5 tab-separated columns, got {len(columns)}")
+            continue
+        key, display_name, lat_text, lon_text, region = columns
+        if not is_token(key) or key.endswith("-"):
+            reject(f"invalid key '{key}'")
+            continue
+        first = first_lines.get(key)
+        if first is not None:
+            reject(f"duplicate key '{key}' (first defined on line {first})")
+            continue
+        if not display_name:
+            reject("empty display_name")
+            continue
+        try:
+            lat = parse_coordinate(lat_text)
+        except ValueError:
+            reject(f"unparsable latitude '{lat_text}'")
+            continue
+        try:
+            lon = parse_coordinate(lon_text)
+        except ValueError:
+            reject(f"unparsable longitude '{lon_text}'")
+            continue
+        if not -90.0 <= lat <= 90.0:
+            reject("latitude out of range")
+            continue
+        if not -180.0 < lon <= 180.0:
+            reject("longitude out of range")
+            continue
+        first_lines[key] = lineno
+        if keys is None or key in keys:
+            entries[key] = GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
+
+    if diags:
+        raise GazetteerParseError(diags)
+    return entries
+
+
+# Rows built field by field: valid, with one field broken, or with any
+# mix, so that every finding occurs, alone or behind an earlier one. The
+# coordinate texts are ones float() reads and parse_coordinate refuses,
+# or that it reads too.
+_valid_keys = st.sampled_from(["giza", "luxor", "a", "0-9", "qau-el-kebir"])
+_bad_keys = st.sampled_from(["giza-", "-giza", "Giza", "gi_za", "", " giza", "giza ", "#giza"])
+_valid_names = st.sampled_from(["Giza", "Café", "a_b", " ", "#"])
+_refused_coordinates = st.sampled_from(
+    ["nan", "-nan", "NaN", "inf", "-inf", "1e400", "1_0", "2_9.9", "٢٩.٩", "３１", "", " ", "north"]
+)
+_valid_lats = st.floats(min_value=-90.0, max_value=90.0).map(repr) | st.sampled_from(
+    [" 1.5 ", "+1", "1e1", "90", "-90", "90.0", "1.", ".5", "-0"]
+)
+_valid_lons = st.floats(min_value=-180.0, max_value=180.0, exclude_min=True).map(repr) | (
+    st.sampled_from([" 1.5 ", "+1", "1e1", "180", "180.0", "-179.999999", "1E2"])
+)
+_bad_lats = _refused_coordinates | st.sampled_from(["90.0001", "-90.5", "180"])
+_bad_lons = _refused_coordinates | st.sampled_from(["-180", "-180.0", "180.0001", "360"])
+_regions = st.sampled_from(["Egypt", "", "a_b"])
+_any_cells = st.tuples(
+    _valid_keys | _bad_keys, _valid_names | st.just(""), _valid_lats | _bad_lats,
+    _valid_lons | _bad_lons, _regions,
+)
+_rows = st.one_of(
+    st.tuples(_valid_keys, _valid_names, _valid_lats, _valid_lons, _regions).map("\t".join),
+    st.tuples(_bad_keys, _valid_names, _valid_lats, _valid_lons, _regions).map("\t".join),
+    st.tuples(_valid_keys, st.just(""), _valid_lats, _valid_lons, _regions).map("\t".join),
+    st.tuples(_valid_keys, _valid_names, _bad_lats, _valid_lons, _regions).map("\t".join),
+    st.tuples(_valid_keys, _valid_names, _valid_lats, _bad_lons, _regions).map("\t".join),
+    _any_cells.map("\t".join),
+    _any_cells.map(lambda c: "\t".join(c[:4])),  # four columns
+    _any_cells.map(lambda c: "\t".join(c) + "\tspare"),  # six columns
+    st.sampled_from(["#", "# key\tname\tlat\tlon\tregion", "#giza\tGiza\t1\t2\tE"]),
+    st.sampled_from(["", " ", "\t\t\t\t", " \t \t", "\x0b", "\u3000", "\x1c"]),
+)
+_ends = st.sampled_from(["\n", "\r\n", "\r"])
+# A rejected row, then a valid row with its key: the key's first definition.
+_rejected_then_valid = st.tuples(_valid_keys, _valid_lats, _ends, _ends).map(
+    lambda r: f"{r[0]}\t\t1\t2\tE{r[2]}{r[0]}\tName\t{r[1]}\t{r[1]}\tE{r[3]}"
+)
+# Each row with its line end, then one last row without.
+_mixed_sources = st.tuples(
+    st.lists(st.tuples(_rows, _ends).map("".join) | _rejected_then_valid, max_size=10), _rows
+).map(lambda parts: "".join(parts[0]) + parts[1])
+
+
+class TestValidRowTest:
+    @settings(max_examples=1000)
+    @given(_mixed_sources, st.none() | st.sets(_valid_keys))
+    def test_same_result_as_the_reference_loop(self, source, keys):
+        try:
+            expected = list(reference_load(source, keys).items())
+        except GazetteerParseError as exc:
+            assert errors_of(source, keys) == exc.diagnostics
+            return
+        assert list(load_gazetteer(source, keys).items()) == expected
+
+    def test_rejected_row_does_not_define_its_key(self):
+        source = "giza\t\t1\t2\tE\n" + GIZA_ROW + "\n" + GIZA_ROW + "\n"
+        assert [(d.line, d.message) for d in errors_of(source)] == [
+            (1, "empty display_name"),
+            (3, "duplicate key 'giza' (first defined on line 2)"),
+        ]
 
 
 class TestNormalizeKey:
