@@ -2,9 +2,14 @@
 
 One driver, :func:`_run`, runs every subcommand that reads a biography:
 it parses the input, reports validation findings, loads the gazetteer,
-calls the subcommand's formatter ``(args, biography, gazetteer) -> str``
-and writes the result; ``validate`` stops after the parse-and-validate
-step. The formatters render from the single order-and-resolve stage,
+calls the subcommand's formatter ``(args, biography, gazetteer) ->
+records`` and writes the records as they are drawn; ``validate`` stops
+after the parse-and-validate step. A formatter checks, resolves and
+orders before it returns, so every finding and warning is reported
+before the first byte is written, and a run holds the biography and its
+source text plus one record and the write buffer, never a whole
+document (KML, GeoJSON and the matrix; the smaller itinerary and stats
+texts are one record each). The formatters render from the single order-and-resolve stage,
 :func:`vitamap.geo.itinerary_stops`. Each finding arrives located by
 the code that found it (parser, gazetteer loader, validator or place
 resolution); :func:`_report` only renders it. A warning about the whole
@@ -19,7 +24,8 @@ no timestamps, no locale-dependent formatting, and no network access
 unless geocode is given an explicit endpoint. Payload is UTF-8 whatever
 the locale, and a failed write to stdout (a full disk, a closed pipe)
 is an I/O error. File outputs are written to a temporary file and
-renamed into place so a failure never leaves a truncated document behind.
+renamed into place so a failure, in formatting too, never leaves a
+truncated document behind.
 An ``-o`` file gets the mode ``open(path, "w")`` would give it: 0o666
 less the umask when it is new, its own mode when it exists.
 
@@ -40,14 +46,14 @@ import argparse
 import os
 import sys
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import suppress
 from functools import partial
 from itertools import count
 from pathlib import Path
 
 from . import __version__
-from .emit import EmitConfig, distance_matrix, emit_geojson, emit_itinerarium, emit_kml
+from .emit import EmitConfig, emit_itinerarium, geojson_records, kml_records, matrix_records
 from .gazetteer import (
     GazetteerEntry,
     GazetteerParseError,
@@ -58,7 +64,7 @@ from .gazetteer import (
     remote_resolve,
 )
 from .geo import build_itinerary, route_stats
-from .model import Biography, Diagnostic, split_lines, validate_biography
+from .model import Biography, Diagnostic, validate_biography
 from .vita import VitaParseError, parse_biography
 
 EXIT_OK = 0
@@ -66,7 +72,9 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 Gazetteer = dict[str, GazetteerEntry]
-Formatter = Callable[[argparse.Namespace, Biography, Gazetteer], str]
+# A formatter checks, resolves and orders, then returns the records to write
+# (a str is one record); drawing them raises nothing and warns of nothing.
+Formatter = Callable[[argparse.Namespace, Biography, Gazetteer], Iterable[str]]
 
 
 class _CliFailure(Exception):
@@ -190,13 +198,13 @@ def _run(formatter: Formatter, args: argparse.Namespace) -> None:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            text = formatter(args, biography, gazetteer)
+            records = formatter(args, biography, gazetteer)
         except UnknownPlace as exc:
             raise _fail(input_path, [Diagnostic("error", exc.event_id, str(exc), exc.line)])
     found = [Diagnostic("warning", None, str(w.message), biography.events[0].line) for w in caught]
     if _report(input_path, found, args.strict):
         raise _CliFailure(EXIT_DOMAIN)
-    _write_output(text, args.output)
+    _write_output(records, args.output)
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -207,7 +215,9 @@ def _read_text(path: Path, what: str) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len(split_lines(data[: exc.start].decode("utf-8")))
+        prefix = data[: exc.start].decode("utf-8")
+        # split_lines's count, without the list: LF, CRLF and a lone CR each end a line.
+        line = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
         message = f"{what} is not valid UTF-8 ({exc.reason})"
         raise _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
     # Tolerate a leading BOM from Windows editors.
@@ -259,21 +269,36 @@ def _load_gazetteer_for(
         raise _fail(gaz_path, exc.diagnostics)
 
 
-def _write_utf8(text: str, binary, size: int = 1 << 16) -> None:
-    # A code point encodes on its own, so a cut between any two is safe.
-    for start in range(0, len(text), size):
-        binary.write(text[start : start + size].encode("utf-8"))
+_SLICE = 1 << 14  # the most code points encoded at once, and the -o file's buffer in bytes
+
+
+def _write_utf8(records: Iterable[str], binary) -> None:
+    """Encode and write each record as it is drawn, through the buffer of
+    ``binary``; a record longer than _SLICE code points goes in slices."""
+    write = binary.write
+    for record in records:
+        if len(record) <= _SLICE:
+            write(record.encode("utf-8"))
+            continue
+        # A code point encodes on its own, so a cut between any two is safe.
+        for start in range(0, len(record), _SLICE):
+            write(record[start : start + _SLICE].encode("utf-8"))
     binary.flush()
 
 
-def _write_output(text: str, output: str | None) -> None:
+def _write_output(records: Iterable[str], output: str | None) -> None:
+    """Write records as they are drawn, to stdout or atomically to
+    ``output``. A str is one record."""
+    if isinstance(records, str):
+        records = (records,)
     if output is None and not hasattr(sys.stdout, "buffer"):  # io.StringIO takes text
-        sys.stdout.write(text)
+        for record in records:
+            sys.stdout.write(record)
         return
     try:
         if output is None:
             sys.stdout.flush()
-            _write_utf8(text, sys.stdout.buffer)
+            _write_utf8(records, sys.stdout.buffer)
             return
         target = Path(output)
         try:
@@ -288,12 +313,12 @@ def _write_output(text: str, output: str | None) -> None:
             except FileExistsError:  # another run's, or a killed run's
                 continue
         try:
-            with os.fdopen(fd, "wb") as handle:
+            with os.fdopen(fd, "wb", buffering=_SLICE) as handle:
                 if mode is not None and hasattr(os, "fchmod"):  # not on Windows before 3.13
                     os.fchmod(fd, mode)
-                _write_utf8(text, handle)
+                _write_utf8(records, handle)
             os.replace(tmp, target)
-        except OSError:
+        except BaseException:  # the records are drawn here: formatting can fail too
             with suppress(OSError):
                 os.unlink(tmp)
             raise
@@ -307,22 +332,26 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Formatters: (args, biography, gazetteer) -> the text to write
+# Formatters: (args, biography, gazetteer) -> the records to write
 
 
-def _compile(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
+def _compile(
+    args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer
+) -> Iterable[str]:
     if args.format == "geojson":
-        return emit_geojson(biography, gazetteer)
-    return emit_kml(biography, gazetteer, EmitConfig(bucket_count=args.buckets))
+        return geojson_records(biography, gazetteer)
+    return kml_records(biography, gazetteer, EmitConfig(bucket_count=args.buckets))
 
 
 def _itinerarium(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
     return emit_itinerarium(build_itinerary(biography, gazetteer), biography, args.format)
 
 
-def _distances(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
+def _distances(
+    args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer
+) -> Iterable[str]:
     if args.matrix:
-        return distance_matrix(biography, gazetteer)
+        return matrix_records(biography, gazetteer)
     return _itinerarium(args, biography, gazetteer)
 
 

@@ -9,10 +9,15 @@ nor resolve; the KML timeline buckets take their bounds t0 and t1 from
 the first and last stop's start day, once per document, and the
 distance matrix computes each unordered pair of places once.
 
-All three emitters are pure text producers: identical inputs give
-byte-identical output. The KML, GeoJSON and matrix documents are built
-from one string per record (a placemark, a feature, a row), joined
-once, so each peaks near twice its own size. Coordinates are written
+All emitters are pure text producers: identical inputs give
+byte-identical output. The KML, GeoJSON and matrix documents also come
+as records, from :func:`kml_records`, :func:`geojson_records` and
+:func:`matrix_records`. Each of these checks, resolves and orders
+before it returns, then yields one string per record (a placemark, a
+feature, a row), each ending its line, so a caller can write the
+document as it is formatted. :func:`emit_kml`, :func:`emit_geojson`
+and :func:`distance_matrix` join those records once, so each peaks
+near twice its own size. Coordinates are written
 with 6 decimal places (about 0.11 m, beyond source accuracy, and
 diff-stable) and distances with 3, rounded half-even. Nothing here
 touches the filesystem.
@@ -23,7 +28,9 @@ from __future__ import annotations
 import io
 import re
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .gazetteer import GazetteerEntry
 from .geo import haversine_km, itinerary_stops, place_identity
@@ -141,6 +148,19 @@ def emit_kml(
     placemark name. Raises InvalidBiographyError or UnknownPlace
     instead of emitting partial output.
     """
+    return "".join(kml_records(biography, gazetteer, config))
+
+
+def kml_records(
+    biography: Biography,
+    gazetteer: dict[str, GazetteerEntry],
+    config: EmitConfig | None = None,
+) -> Iterator[str]:
+    """The records of :func:`emit_kml`'s document, each ending its line:
+    the head, each style, each placemark, the tail. It validates,
+    resolves, orders and buckets before it returns, so it raises what
+    ``emit_kml`` raises and nothing is raised while the records are drawn.
+    """
     config = config or EmitConfig()
     _check_valid(biography)
     stops = itinerary_stops(biography, gazetteer)
@@ -151,27 +171,32 @@ def emit_kml(
         _bucket(to_day_number(event.when.start), t0, t1, config.bucket_count)
         for event, _ in stops
     ]
+    return _kml_records(biography.title, stops, buckets, config)
 
-    out = [
+
+def _kml_records(
+    title: str, stops: list[tuple[LifeEvent, GeoPoint]], buckets: list[int], config: EmitConfig
+) -> Iterator[str]:
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<kml xmlns="{KML_NAMESPACE}">\n'
         "  <Document>\n"
-        f"    <name>{_xml_escape(biography.title)}</name>"
-    ]
-    out += (
-        f'    <Style id="era-{bucket}">\n'
-        "      <IconStyle>\n"
-        f"        <color>{config.color_for(bucket)}</color>\n"
-        "      </IconStyle>\n"
-        "    </Style>"
-        for bucket in sorted(set(buckets))
+        f"    <name>{_xml_escape(title)}</name>\n"
     )
+    for bucket in sorted(set(buckets)):
+        yield (
+            f'    <Style id="era-{bucket}">\n'
+            "      <IconStyle>\n"
+            f"        <color>{config.color_for(bucket)}</color>\n"
+            "      </IconStyle>\n"
+            "    </Style>\n"
+        )
+    include_attachments = config.include_attachments
     for (event, point), bucket in zip(stops, buckets):
-        description = _description(event, config.include_attachments)
-        out.append(
+        yield (
             "    <Placemark>\n"
             f"      <name>{_xml_escape(_placemark_name(event))}</name>\n"
-            f"      <description>{description}</description>\n"
+            f"      <description>{_description(event, include_attachments)}</description>\n"
             "      <TimeSpan>\n"
             f"        <begin>{event.when.start.isoformat()}</begin>\n"
             f"        <end>{event.when.end.isoformat()}</end>\n"
@@ -180,10 +205,9 @@ def emit_kml(
             "      <Point>\n"
             f"        <coordinates>{point.lon:.6f},{point.lat:.6f},0</coordinates>\n"
             "      </Point>\n"
-            "    </Placemark>"
+            "    </Placemark>\n"
         )
-    out += ["  </Document>\n</kml>", ""]  # "" ends the text with "\n" inside the join
-    return "\n".join(out)
+    yield "  </Document>\n</kml>\n"
 
 
 def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> str:
@@ -193,13 +217,26 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
     [lon, lat] with 6 decimals, properties in fixed key order
     (id, label, kind, start, end, circa, note, attachments).
     """
+    return "".join(geojson_records(biography, gazetteer))
+
+
+def geojson_records(
+    biography: Biography, gazetteer: dict[str, GazetteerEntry]
+) -> Iterator[str]:
+    """The records of :func:`emit_geojson`'s document, each ending its
+    line: the head, each feature, the tail. It validates, resolves and
+    orders before it returns, as :func:`kml_records` does."""
+    _check_valid(biography)
+    return _geojson_records(itinerary_stops(biography, gazetteer))
+
+
+def _geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
     import json  # imported here: only GeoJSON needs it, not every start-up
 
-    _check_valid(biography)
-    # One string per feature: the head opens the first, the tail closes the last.
-    features = []
-    head = '{\n  "type": "FeatureCollection",\n  "features": [\n'
-    for event, point in itinerary_stops(biography, gazetteer):
+    dumps = json.dumps
+    yield '{\n  "type": "FeatureCollection",\n  "features": [\n'
+    last = len(stops) - 1
+    for i, (event, point) in enumerate(stops):
         properties = {
             "id": event.id,
             "label": event.label,
@@ -210,17 +247,15 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
             "note": event.note,
             "attachments": event.attachments,
         }
-        features.append(
-            f"{head}    {{\n"
+        yield (
+            "    {\n"
             '      "type": "Feature",\n'
             '      "geometry": {"type": "Point", "coordinates": '
             f"[{point.lon:.6f}, {point.lat:.6f}]}},\n"
-            f'      "properties": {json.dumps(properties, ensure_ascii=False)}\n'
-            "    }"
+            f'      "properties": {dumps(properties, ensure_ascii=False)}\n'
+            f"    }}{',' if i < last else ''}\n"
         )
-        head = ""
-    features[-1] += "\n  ]\n}\n"
-    return ",\n".join(features)
+    yield "  ]\n}\n"
 
 
 ITINERARY_CSV_HEADER = ("index", "start", "end", "place", "label", "lat", "lon", "leg_km", "cum_km")
@@ -239,22 +274,23 @@ def emit_itinerarium(
     """
     if fmt not in ("text", "csv"):
         raise ValueError(f"unknown itinerarium format: {fmt!r}")
-    rows = []
-    for leg in legs:
-        event = leg.event
-        rows.append(
-            (
-                str(leg.index),
-                event.when.start.isoformat(),
-                event.when.end.isoformat(),
-                event.key or "",
-                event.label,
-                f"{leg.point.lat:.6f}",
-                f"{leg.point.lon:.6f}",
-                f"{leg.leg_km:.3f}",
-                f"{leg.cum_km:.3f}",
-            )
+    # One tuple of cells per row, in CSV column order. The key cell is the
+    # event's own string, so the text table, which skips it, pays nothing.
+    rows = (
+        (
+            str(leg.index),
+            event.when.start.isoformat(),
+            event.when.end.isoformat(),
+            event.key or "",
+            event.label,
+            f"{leg.point.lat:.6f}",
+            f"{leg.point.lon:.6f}",
+            f"{leg.leg_km:.3f}",
+            f"{leg.cum_km:.3f}",
         )
+        for leg in legs
+        for event in [leg.event]
+    )
 
     if fmt == "csv":
         import csv  # imported here: only the CSV paths need it
@@ -262,25 +298,19 @@ def emit_itinerarium(
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(ITINERARY_CSV_HEADER)
-        writer.writerows(rows)
+        writer.writerows(rows)  # one pass: no row outlives its line
         return buffer.getvalue()
 
-    header = ("#", "START", "END", "PLACE", "LAT", "LON", "LEG_KM", "CUM_KM")
-    # Text table shows the human-facing label in the PLACE column.
-    text_rows = [(r[0], r[1], r[2], r[4], r[5], r[6], r[7], r[8]) for r in rows]
-    widths = [
-        max(len(header[i]), max((len(row[i]) for row in text_rows), default=0))
-        for i in range(len(header))
-    ]
-    right_aligned = {4, 5, 6, 7}
-    lines = []
-    for row in [header, *text_rows]:
-        cells = [
-            cell.rjust(widths[i]) if i in right_aligned else cell.ljust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    # The text table skips the key cell (3): its PLACE column shows the label.
+    table: list = [("#", "START", "END", "", "PLACE", "LAT", "LON", "LEG_KM", "CUM_KM"), *rows]
+    widths = {i: max(map(len, map(itemgetter(i), table))) for i in (0, 1, 2, 4, 5, 6, 7, 8)}
+    # Text left-aligned, numbers right-aligned: "{0:<W}  {1:<W}  ...  {8:>W}".
+    template = "  ".join(f"{{{i}:{'<' if i <= 4 else '>'}{w}}}" for i, w in widths.items())
+    # Each row's line takes the place of its cells, so both are never all held.
+    for n, row in enumerate(table):
+        table[n] = template.format(*row)
+    table.append("")  # ends the text with "\n" inside the join
+    return "\n".join(table)
 
 
 def distance_matrix(
@@ -298,9 +328,21 @@ def distance_matrix(
 
     Labels are quoted as csv.writer quotes them, in the header and at
     the start of each row. The cells never need quoting, so each row's
-    cells are written by one ``%.3f`` template, built once.
+    cells are written by one ``%.3f`` template, built once. Raises
+    InvalidBiographyError or UnknownPlace, as :func:`emit_kml` does.
     """
-    labels: list[str] = []
+    return "".join(matrix_records(biography, gazetteer))
+
+
+def matrix_records(
+    biography: Biography, gazetteer: dict[str, GazetteerEntry]
+) -> Iterator[str]:
+    """The rows of :func:`distance_matrix`, header first, each ending its
+    line. It validates, resolves, orders and labels the places before it
+    returns, as :func:`kml_records` does; each row's distances are
+    computed as it is drawn."""
+    _check_valid(biography)
+    quoted: list[str] = []
     points: list[GeoPoint] = []
     seen: set[str | tuple[float, float]] = set()
     for event, point in itinerary_stops(biography, gazetteer):
@@ -308,14 +350,18 @@ def distance_matrix(
         if identity in seen:
             continue
         seen.add(identity)
-        labels.append(identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}")
+        label = identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}"
+        quoted.append(_csv_field(label))
         points.append(point)
+    return _matrix_rows(quoted, points)
 
-    quoted = [_csv_field(label) for label in labels]
+
+def _matrix_rows(quoted: list[str], points: list[GeoPoint]) -> Iterator[str]:
     template = ",".join(["%.3f"] * len(points))
-    rows = [",".join(["place", *quoted]) + "\n"]
+    yield ",".join(["place", *quoted]) + "\n"
     # Cell (j, i) with j < i is upper[row_start[j] + i]; doubles in an
-    # array take 8 bytes a cell, a list of floats 32.
+    # array take 8 bytes a cell, a list of floats 32. The triangle goes
+    # with the generator, once the last row is drawn.
     upper = array("d")
     row_start: list[int] = []
     for i, (label, a) in enumerate(zip(quoted, points)):
@@ -323,9 +369,7 @@ def distance_matrix(
         left = [upper[start + i] for start in row_start]
         row_start.append(len(upper) - i - 1)
         upper.extend(right)
-        rows.append(f"{label},{template % (*left, 0.0, *right)}\n")
-    del upper, row_start  # the join below would hold the triangle at its peak
-    return "".join(rows)
+        yield f"{label},{template % (*left, 0.0, *right)}\n"
 
 
 def _csv_field(text: str) -> str:

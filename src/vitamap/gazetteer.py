@@ -24,8 +24,8 @@ from .model import (
     LifeEvent,
     fold_key,
     is_token,
+    iter_lines,
     parse_coordinate,
-    split_lines,
 )
 
 
@@ -95,7 +95,7 @@ def load_gazetteer(
     entries: dict[str, GazetteerEntry] = {}
     diags: list[Diagnostic] = []
 
-    for lineno, line in enumerate(split_lines(source), start=1):
+    for lineno, line in enumerate(iter_lines(source), start=1):
         try:
             key, display_name, lat_text, lon_text, region = line.split("\t")
             lat, lon = float(lat_text), float(lon_text)

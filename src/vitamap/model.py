@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from heapq import heappop, heappush
+from itertools import chain
 
 TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9-]*\Z")
 
@@ -46,6 +47,26 @@ def fold_key(name: str) -> str:
 def split_lines(text: str) -> list[str]:
     """Split text into lines: LF, CRLF and a lone CR each end a line."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def iter_lines(text: str, chunk: int = 1 << 14) -> Iterator[str]:
+    """The lines of :func:`split_lines`, split about ``chunk`` characters
+    at a time, so that no list of every line is ever held.
+
+    Each piece ends just after a LF, which ends a line whatever comes
+    before it, so a CRLF is never cut in two.
+    """
+    return chain.from_iterable(_line_pieces(text, chunk))
+
+
+def _line_pieces(text: str, chunk: int) -> Iterator[list[str]]:
+    start = 0
+    while cut := text.find("\n", start + chunk - 1) + 1:
+        lines = split_lines(text[start:cut])
+        lines.pop()  # the "" after the cut LF: the next piece starts that line
+        yield lines
+        start = cut
+    yield split_lines(text[start:])
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +295,9 @@ def _checked_events(
 
 def validation_errors(biography: Biography) -> list[Diagnostic]:
     """The error findings of :func:`validate_biography`, in its order."""
+    events = biography.events
+    if len({event.id for event in events}) == len(events):  # the one error is a duplicate id
+        return []
     return [error for _, _, errors in _checked_events(biography) for error in errors]
 
 

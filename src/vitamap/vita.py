@@ -29,6 +29,7 @@ the rest of the file.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from datetime import date
 
 from .model import (
@@ -41,6 +42,7 @@ from .model import (
     ParseDiagnostic,
     days_in_month,
     is_token,
+    iter_lines,
     parse_coordinate,
     split_lines,
 )
@@ -66,6 +68,8 @@ _FOLDS_TO_EMPTY = re.compile(r"[\s_-]*\Z").match
 # A key's value and the line it is on; its column is found again from the
 # line only when a finding needs it (see _at).
 _Pair = tuple[str, int]
+# The text of a 1-based line of the source.
+_LineAt = Callable[[int], str]
 
 
 class VitaParseError(Exception):
@@ -132,8 +136,14 @@ def parse_biography(source: str) -> Biography:
             diags.append(ParseDiagnostic(1, 1, "missing [biography] header"))
             header_missing_reported = True
 
-    lines = split_lines(source)
-    for lineno, line in enumerate(lines, start=1):
+    lines: list[str] = []  # the source split again, once, when a finding needs a column
+
+    def line_at(lineno: int) -> str:
+        if not lines:
+            lines.extend(split_lines(source))
+        return lines[lineno - 1]
+
+    for lineno, line in enumerate(iter_lines(source), start=1):
         if "#" in line:
             line = line.partition("#")[0]
         body = line.strip(_ASCII_WS)
@@ -149,7 +159,7 @@ def parse_biography(source: str) -> Biography:
         if len(body) > 1 and body[0] == "[" and body[-1] == "]":
             name = body[1:-1]
             if event_line:
-                _finish_event(lines, event_line, pairs, attachments, diags, events)
+                _finish_event(line_at, event_line, pairs, attachments, diags, events)
                 event_line = 0
             if name == "event":
                 if not bio_line:
@@ -190,15 +200,15 @@ def parse_biography(source: str) -> Biography:
             pairs[key] = (value, lineno)
 
     if event_line:
-        _finish_event(lines, event_line, pairs, attachments, diags, events)
+        _finish_event(line_at, event_line, pairs, attachments, diags, events)
 
     if not bio_line:
         report_missing_header()
         raise VitaParseError(diags)
 
-    title, bio_id, hint = _finish_biography(lines, bio_line, bio_pairs, diags)
-    if not saw_event_block:
-        diags.append(ParseDiagnostic(len(lines), 1, "biography has no events"))
+    title, bio_id, hint = _finish_biography(line_at, bio_line, bio_pairs, diags)
+    if not saw_event_block:  # located at the last line, which the loop left in lineno
+        diags.append(ParseDiagnostic(lineno, 1, "biography has no events"))
     if diags:
         raise VitaParseError(diags)
     assert title is not None and bio_id is not None
@@ -210,16 +220,16 @@ def _first_column(line: str) -> int:
     return len(line) - len(line.lstrip(_ASCII_WS)) + 1
 
 
-def _at(lines: list[str], pair: _Pair, message: str) -> Diagnostic:
+def _at(line_at: _LineAt, pair: _Pair, message: str) -> Diagnostic:
     """A finding at the value of a (value, line) pair. The value ends its
     line once the comment is cut and trailing blanks are stripped."""
     value, lineno = pair
-    text = lines[lineno - 1].partition("#")[0].rstrip(_ASCII_WS)
+    text = line_at(lineno).partition("#")[0].rstrip(_ASCII_WS)
     return ParseDiagnostic(lineno, len(text) - len(value) + 1, message)
 
 
 def _finish_biography(
-    lines: list[str], header_line: int, pairs: dict[str, _Pair], diags: list[Diagnostic]
+    line_at: _LineAt, header_line: int, pairs: dict[str, _Pair], diags: list[Diagnostic]
 ) -> tuple[str | None, str | None, str | None]:
     title = pairs.get("title")
     bio_id = pairs.get("id")
@@ -229,9 +239,9 @@ def _finish_biography(
     if bio_id is None:
         diags.append(ParseDiagnostic(header_line, 1, "missing required key 'id'"))
     elif not is_token(bio_id[0]):
-        diags.append(_at(lines, bio_id, f"invalid biography id '{bio_id[0]}'"))
+        diags.append(_at(line_at, bio_id, f"invalid biography id '{bio_id[0]}'"))
     if hint is not None and hint[0].startswith("/"):
-        diags.append(_at(lines, hint, "gazetteer path must be relative"))
+        diags.append(_at(line_at, hint, "gazetteer path must be relative"))
     return (
         title[0] if title else None,
         bio_id[0] if bio_id else None,
@@ -240,7 +250,7 @@ def _finish_biography(
 
 
 def _finish_event(
-    lines: list[str],
+    line_at: _LineAt,
     header_line: int,
     pairs: dict[str, _Pair],
     attachments: list[_Pair],
@@ -254,11 +264,11 @@ def _finish_event(
     if event_id is None:
         diags.append(ParseDiagnostic(header_line, 1, "event missing required key 'id'"))
     elif not is_token(event_id[0]):
-        diags.append(_at(lines, event_id, f"invalid event id '{event_id[0]}'"))
+        diags.append(_at(line_at, event_id, f"invalid event id '{event_id[0]}'"))
 
     kind = pairs.get("kind")
     if kind is not None and kind[0] not in EVENT_KINDS:
-        diags.append(_at(lines, kind, f"unknown kind '{kind[0]}'"))
+        diags.append(_at(line_at, kind, f"unknown kind '{kind[0]}'"))
 
     start = pairs.get("start")
     bounds = None
@@ -268,7 +278,7 @@ def _finish_event(
         try:
             bounds = _date_range(start[0])
         except ValueError as exc:
-            diags.append(_at(lines, start, str(exc)))
+            diags.append(_at(line_at, start, str(exc)))
     when = None
     end = pairs.get("end")
     if end is None:
@@ -280,7 +290,7 @@ def _finish_event(
             if bounds is not None:  # else the start is already reported
                 when = DateInterval(bounds[0], last, bounds[2] or circa)
         except ValueError as exc:  # a malformed end, or "interval end precedes start"
-            diags.append(_at(lines, end, str(exc)))
+            diags.append(_at(line_at, end, str(exc)))
 
     lat = pairs.get("lat")
     lon = pairs.get("lon")
@@ -288,19 +298,19 @@ def _finish_event(
     if (lat is None) != (lon is None):
         present = lat if lat is not None else lon
         assert present is not None
-        diags.append(_at(lines, present, "lat and lon must be given together"))
+        diags.append(_at(line_at, present, "lat and lon must be given together"))
     elif lat is not None and lon is not None:
-        point = _parse_point(lines, lat, lon, diags)
+        point = _parse_point(line_at, lat, lon, diags)
 
     place = pairs.get("place")
     if place is None and point is None and before == len(diags):
         diags.append(ParseDiagnostic(header_line, 1, "event needs a place or inline lat/lon"))
     elif place is not None and _FOLDS_TO_EMPTY(place[0]):
-        diags.append(_at(lines, place, f"name normalizes to empty key: {place[0]!r}"))
+        diags.append(_at(line_at, place, f"name normalizes to empty key: {place[0]!r}"))
 
     for path in attachments:
         if path[0].startswith("/"):
-            diags.append(_at(lines, path, "attachment path must be relative"))
+            diags.append(_at(line_at, path, "attachment path must be relative"))
 
     if len(diags) > before:
         return
@@ -326,20 +336,20 @@ def _finish_event(
 
 
 def _parse_point(
-    lines: list[str], lat: _Pair, lon: _Pair, diags: list[Diagnostic]
+    line_at: _LineAt, lat: _Pair, lon: _Pair, diags: list[Diagnostic]
 ) -> GeoPoint | None:
     values: list[float] = []
     for name, pair in (("latitude", lat), ("longitude", lon)):
         try:
             values.append(parse_coordinate(pair[0]))
         except ValueError:
-            diags.append(_at(lines, pair, f"invalid {name} '{pair[0]}'"))
+            diags.append(_at(line_at, pair, f"invalid {name} '{pair[0]}'"))
             return None
     try:
         return GeoPoint(values[0], values[1])
     except ValueError as exc:
         culprit = lat if "latitude" in str(exc) else lon
-        diags.append(_at(lines, culprit, str(exc).split(":")[0]))
+        diags.append(_at(line_at, culprit, str(exc).split(":")[0]))
         return None
 
 

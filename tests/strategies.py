@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the round-trip and property tests."""
+"""Hypothesis strategies shared by the round-trip and property tests, and
+a long generated timeline with its gazetteer for the memory gates."""
 
 from __future__ import annotations
 
@@ -80,4 +81,29 @@ def biographies(draw) -> Biography:
         id=draw(tokens),
         events=events,
         gazetteer_hint=draw(st.one_of(st.none(), rel_paths)),
+    )
+
+
+def long_timeline_text(n: int) -> str:
+    """n events shaped like a long hand-written timeline: keyed places and
+    inline points, labels, and a note on every other event."""
+    parts = ["[biography]\ntitle = A long life & times\nid = long\n"]
+    for i in range(n):
+        year = 1000 + 2 * i
+        if i % 3:
+            place = f"place = Site {i % 40:05d} Abc\n"
+        else:
+            place = f"lat = {i % 90}.153258\nlon = -{i % 180}.769656\n"
+        note = f"note = Visit {i}: Court & <annex>\n" if i % 2 else ""
+        parts.append(
+            f"\n[event]\nid = e{i:05d}\nkind = {('work', 'residence', 'visit')[i % 3]}\n"
+            f"start = {year}-03\nend = {year}-11-03\n{place}label = Court Café {i}\n{note}"
+        )
+    return "".join(parts)
+
+
+def long_timeline_gazetteer() -> str:
+    """The gazetteer TSV of the places :func:`long_timeline_text` names."""
+    return "".join(
+        f"site-{i:05d}-abc\tSite {i}\t{i - 20}.5\t{3 * i}.25\tRegion\n" for i in range(40)
     )

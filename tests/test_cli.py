@@ -22,9 +22,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vitamap import cli, gazetteer
+from vitamap import cli, emit, gazetteer
 from vitamap.cli import COMMANDS, build_parser, main
-from vitamap.model import GeoPoint
+from vitamap.model import GeoPoint, split_lines
+from vitamap.vita import parse_biography
+
+from strategies import long_timeline_gazetteer, long_timeline_text
 
 OK_VITA = """\
 [biography]
@@ -778,3 +781,115 @@ class TestAnyInput:
             lines = err.getvalue().split("\n")
             assert lines.pop() == ""
             assert [line for line in lines if not located.fullmatch(line)] == []
+
+
+class TestUndecodableLine:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "\r", "\n", "\r\n"])).map("".join))
+    def test_line_counts_every_line_end(self, property_dir, prefix):
+        # The line of the first bad byte is split_lines's count of the text before it.
+        path = property_dir / "bad.vita"
+        path.write_bytes(prefix.encode("utf-8") + b"\xff")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["validate", str(path)]) == 2
+        line = len(split_lines(prefix))
+        assert err.getvalue() == f"error {path}:{line} input is not valid UTF-8 (invalid start byte)\n"
+
+
+class _Spy(io.BytesIO):
+    """A binary stream that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+class TestWriteUtf8:
+    @given(st.lists(st.text(alphabet="aé€\n", max_size=40_000), max_size=8))
+    def test_writes_the_records_utf8_a_bounded_piece_at_a_time(self, records):
+        spy = _Spy()
+        cli._write_utf8(records, spy)
+        assert spy.getvalue() == "".join(records).encode("utf-8")
+        assert all(size <= 4 * cli._SLICE for size in spy.sizes)
+
+    def test_each_record_is_written_before_the_next_is_drawn(self):
+        spy = _Spy()
+
+        def records():
+            for i in range(100):
+                assert len(spy.sizes) == i
+                yield f"<record {i}/>\n"
+
+        cli._write_utf8(records(), spy)
+        assert len(spy.sizes) == 100
+
+    def test_a_long_record_goes_in_slices(self):
+        spy = _Spy()
+        cli._write_utf8(["x" * 40_000], spy)
+        assert spy.sizes == [cli._SLICE, cli._SLICE, 40_000 - 2 * cli._SLICE]
+
+
+STREAMED = [["compile"], ["compile", "--format", "geojson"], ["distances", "--matrix"]]
+
+
+class TestStreamedWrites:
+    """Documents are written as they are formatted, and every check still
+    runs before the first byte is written."""
+
+    @pytest.mark.parametrize("command", STREAMED, ids=["kml", "geojson", "matrix"])
+    @pytest.mark.parametrize("name", ["unknown", "dup"])
+    def test_failing_run_writes_nothing(self, workspace, tmp_path, capsys, command, name):
+        assert main([command[0], vita(workspace, name), *command[1:]]) == 1
+        assert capsys.readouterr().out == ""
+        out_dir = tmp_path / "outs"
+        out_dir.mkdir()
+        target = out_dir / "doc.out"
+        assert main([command[0], vita(workspace, name), *command[1:], "-o", str(target)]) == 1
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_exception_mid_stream_leaves_no_file(self, workspace, monkeypatch, existing):
+        def failing(*args):
+            yield "<?xml" + " " * 50_000  # a few slices reach the temporary file first
+            raise RuntimeError("formatter failed")
+
+        monkeypatch.setattr(emit, "_kml_records", failing)
+        out_dir = workspace / "outs"
+        out_dir.mkdir()
+        target = out_dir / "doc.kml"
+        if existing:
+            target.write_text("old", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            main(["compile", vita(workspace, "ok"), "-o", str(target)])
+        assert [p.name for p in out_dir.iterdir()] == (["doc.kml"] if existing else [])
+        if existing:
+            assert target.read_text(encoding="utf-8") == "old"
+
+    def test_compile_peaks_at_the_parse(self, tmp_path):
+        # A run holds the biography and its source text, plus one record
+        # and the write buffer: not a copy of the document. The parse's
+        # peak here counts reading the text too, as any run must.
+        path = tmp_path / "long.vita"
+        path.write_text(long_timeline_text(3000), encoding="utf-8")
+        gaz = tmp_path / "places.tsv"
+        gaz.write_text(long_timeline_gazetteer(), encoding="utf-8")
+        out = tmp_path / "long.kml"
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)])  # warm
+        parse_peak = peak(lambda: parse_biography(path.read_text(encoding="utf-8")))
+        run_peak = peak(lambda: main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)]))
+        assert out.read_text(encoding="utf-8").count("<Placemark>") == 3000
+        assert run_peak < 1.1 * parse_peak

@@ -9,6 +9,7 @@ import json
 import random
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -23,6 +24,9 @@ from vitamap.emit import (
     emit_geojson,
     emit_itinerarium,
     emit_kml,
+    geojson_records,
+    kml_records,
+    matrix_records,
     timeline_bucket,
 )
 from vitamap.geo import (
@@ -401,6 +405,42 @@ class TestDistanceMatrix:
         )
 
 
+RECORDS = [(kml_records, emit_kml), (geojson_records, emit_geojson), (matrix_records, distance_matrix)]
+
+
+@pytest.mark.parametrize("records,emitter", RECORDS, ids=["kml", "geojson", "matrix"])
+class TestRecords:
+    """Each streamed document checks, resolves and orders before its first
+    record; drawing the records then raises and warns of nothing."""
+
+    def test_records_end_their_lines_and_join_to_the_document(self, records, emitter):
+        b = generated_biography(50)
+        drawn = list(records(b, GAZ))
+        assert len(drawn) > 3 and all(r.endswith("\n") for r in drawn)
+        assert "".join(drawn) == emitter(b, GAZ)
+
+    def test_unknown_place_raises_before_any_record(self, records, emitter):
+        b = simple_biography(NEFERTARI, day_event("lost", 1905, 1, 1, place_key="atlantis"))
+        with pytest.raises(UnknownPlace, match="atlantis"):
+            records(b, GAZ)
+
+    def test_duplicate_event_id_raises_before_any_record(self, records, emitter):
+        with pytest.raises(InvalidBiographyError, match="duplicate event id 'nefertari-tomb'"):
+            records(simple_biography(NEFERTARI, NEFERTARI), GAZ)
+
+    def test_drawing_records_neither_raises_nor_warns(self, records, emitter):
+        # A route across the antimeridian: stats warns about its box; no document does.
+        b = simple_biography(
+            day_event("west", 1900, 1, 1, place_key=None, point=GeoPoint(10.0, -170.0)),
+            day_event("east", 1901, 1, 1, place_key=None, point=GeoPoint(-10.0, 170.0)),
+            *generated_biography(30).events,
+        )
+        stream = records(b, GAZ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert "".join(stream) == emitter(b, GAZ)
+
+
 class TestDirectlyBuiltPlaceKeys:
     """Events built through the API, not parsed, reach every consumer with a
     place key that folds to a real key; one that folds to nothing is refused
@@ -558,6 +598,27 @@ class TestComplexityGuards:
             tracemalloc.stop()
         assert text.count("Café") == 3000
         assert peak < 2.6 * len(text)
+
+    @pytest.mark.parametrize("fmt,multiple", [("text", 6.0), ("csv", 4.0)])
+    def test_itinerarium_peak_is_a_few_times_its_output(self, fmt, multiple):
+        # One tuple of cells per row. The text table needs them all for its
+        # widths, and each row's line then takes its tuple's place (about
+        # 5.3x); the CSV writer takes each tuple as it is made (about 3.5x).
+        events = [
+            dataclasses.replace(e, label=f"Café {e.id}", note="Hôtel de l'Europe")
+            for e in generated_biography(3000).events
+        ]
+        b = simple_biography(*events)
+        legs = build_itinerary(b, GAZ)
+        emit_itinerarium(legs, b, fmt)  # the first CSV run imports csv
+        tracemalloc.start()
+        try:
+            text = emit_itinerarium(legs, b, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("Café") == 3000
+        assert peak < multiple * len(text)
 
     @pytest.mark.parametrize(
         "command",

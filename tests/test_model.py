@@ -26,6 +26,8 @@ from vitamap.model import (
     fold_key,
     from_day_number,
     is_token,
+    iter_lines,
+    split_lines,
     to_day_number,
     validate_biography,
 )
@@ -138,6 +140,55 @@ class TestSlottedValues:
             assert twin == value and hash(twin) == hash(value)
             assert dataclasses.astuple(twin) == dataclasses.astuple(value)  # key and line too
             assert not hasattr(twin, "__dict__")
+
+
+# Text of "a", LF, CR and CRLF: every way a line can end, and lines to end.
+LINE_ENDS_TEXT = st.lists(st.sampled_from(["a", "\r", "\n", "\r\n"])).map("".join)
+
+
+class TestIterLines:
+    """iter_lines yields split_lines's lines, a bounded piece at a time."""
+
+    @given(LINE_ENDS_TEXT, st.integers(1, 17))
+    def test_same_lines_as_split_lines(self, text, chunk):
+        assert list(iter_lines(text, chunk)) == split_lines(text)
+
+    @pytest.mark.parametrize(
+        "text,chunk",
+        [
+            ("ab\r\ncd\r\n", 3),  # the first cut would fall inside a CRLF
+            ("ab\rcd\n\ref", 3),  # a lone CR where a cut would fall
+            ("ab\n\rcd", 3),  # a lone CR just after a cut
+            ("a\rb\rc", 1),  # no LF at all: one piece
+            ("abc\n", 4),  # exactly one chunk long
+            ("abc\r", 4),
+            ("abcd", 4),
+            ("", 1),
+            ("\n", 1),
+        ],
+    )
+    def test_cuts(self, text, chunk):
+        assert list(iter_lines(text, chunk)) == split_lines(text)
+
+    def test_default_chunk_on_a_long_text(self):
+        ends = ("\n", "\r\n", "\r")
+        text = "".join(f"line {i}{ends[i % 3]}" for i in range(20_000))
+        assert len(text) > 8 * (1 << 14)
+        assert list(iter_lines(text)) == split_lines(text)
+
+    def test_splits_a_piece_at_a_time(self, monkeypatch):
+        sizes = []
+
+        def spy(text):
+            sizes.append(len(text))
+            return split_lines(text)
+
+        monkeypatch.setattr(model, "split_lines", spy)
+        text = "0123456789\n" * 100
+        lines = iter_lines(text, 32)
+        assert sizes == []  # nothing is split until a line is drawn
+        assert next(lines) == "0123456789" and sizes == [33]
+        assert len(list(lines)) == 100 and max(sizes) == 33 and sum(sizes) == len(text)
 
 
 class TestCalendar:

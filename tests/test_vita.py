@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vitamap.model import Biography, CalendarDate, DateInterval, GeoPoint, LifeEvent, fold_key
+from vitamap import vita
+from vitamap.model import (
+    Biography,
+    CalendarDate,
+    DateInterval,
+    GeoPoint,
+    LifeEvent,
+    fold_key,
+    iter_lines,
+    split_lines,
+)
 from vitamap.vita import (
     _FOLDS_TO_EMPTY,
     VitaParseError,
@@ -16,7 +29,7 @@ from vitamap.vita import (
     serialize_biography,
 )
 
-from strategies import biographies
+from strategies import biographies, long_timeline_text
 
 NEWTON_MINIMAL = """\
 [biography]
@@ -480,6 +493,77 @@ class TestLexerColumns:
         found = self.located(lead, "end", before, after, value, tail, comment)
         column = len(lead) + len("end") + len(before) + len(after) + 2
         assert found == [(8, column, f"malformed date expression '{value}'")]
+
+
+class TestParseMemory:
+    def test_parse_peak_is_within_six_times_the_text(self):
+        # No list of every line: the parse holds a piece of lines, the
+        # biography it builds, and the text it was given (not counted).
+        text = long_timeline_text(3000)
+        tracemalloc.start()
+        try:
+            b = parse_biography(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(b.events) == 3000 and len(text) > 20 * (1 << 14)
+        assert peak <= 6 * len(text)
+
+    def test_source_is_split_again_once_and_only_for_a_finding(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(vita, "split_lines", lambda text: calls.append(1) or split_lines(text))
+        text = long_timeline_text(300)
+        parse_biography(text)
+        assert calls == []
+        broken = text.replace("kind = work", "kind = job").replace("start = 1", "start = x1")
+        found = diagnostics_of(broken)
+        assert len(found) > 300 and found[-1].line > text[: 1 << 14].count("\n") + 1
+        assert calls == [1]
+
+    def test_no_events_finding_is_on_the_last_line(self):
+        for source, line in [("[biography]\ntitle = T\nid = t", 3), ("[biography]\r\n\r\n", 3)]:
+            assert [(d.line, d.message) for d in diagnostics_of(source)][-1] == (
+                line,
+                "biography has no events",
+            )
+
+
+# Good and broken lines of every kind, for texts cut at any chunk size.
+_ANY_LINE = st.sampled_from(
+    [
+        "[biography]", "title = T", "id = t", "id = ?", "gazetteer = /g.tsv", "[event]",
+        "  [event]  # c", "[weird]", "id = e1", "id = e2", "kind = visit", "kind = job",
+        "start = 1904", "start = c.1904-02", "start = 19x", "end = 1905", "end = 1800",
+        "place = giza", "place = ---", "lat = 1.5", "lon = 2.5", "lat = 91", "lon = x",
+        "label = L # note", "note =", "attach = a.jpg", "attach = /a.jpg", "= v", "novalue",
+        "unknown = 1", "start =", "", " \t", "# only a comment",
+    ]
+)
+
+
+def _outcome(text: str):
+    try:
+        b = parse_biography(text)
+    except VitaParseError as exc:
+        return [(d.line, d.column, d.message) for d in exc.diagnostics]
+    return b, [e.line for e in b.events]
+
+
+class TestChunkedParse:
+    """Lines walked a piece at a time give what one split of the whole text gives."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(_ANY_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=40),
+        st.integers(1, 40),
+    )
+    def test_any_chunk_same_result_as_one_split(self, lines, chunk):
+        text = "".join(line + end for line, end in lines)
+        with mock.patch.object(vita, "iter_lines", partial(iter_lines, chunk=chunk)):
+            chunked = _outcome(text)
+        with mock.patch.object(vita, "iter_lines", lambda source: iter(split_lines(source))):
+            whole = _outcome(text)
+        assert chunked == whole
 
 
 class TestSerialize:
