@@ -277,9 +277,6 @@ def _write_utf8(records: Iterable[str], binary) -> None:
     ``binary``; a record longer than _SLICE code points goes in slices."""
     write = binary.write
     for record in records:
-        if len(record) <= _SLICE:
-            write(record.encode("utf-8"))
-            continue
         # A code point encodes on its own, so a cut between any two is safe.
         for start in range(0, len(record), _SLICE):
             write(record[start : start + _SLICE].encode("utf-8"))

@@ -295,9 +295,6 @@ def _checked_events(
 
 def validation_errors(biography: Biography) -> list[Diagnostic]:
     """The error findings of :func:`validate_biography`, in its order."""
-    events = biography.events
-    if len({event.id for event in events}) == len(events):  # the one error is a duplicate id
-        return []
     return [error for _, _, errors in _checked_events(biography) for error in errors]
 
 
