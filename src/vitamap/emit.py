@@ -7,7 +7,8 @@ one stage, :func:`vitamap.geo.itinerary_stops`: the events in itinerary
 order, each paired with its resolved point. The emitters neither sort
 nor resolve; the KML timeline buckets take their bounds t0 and t1 from
 the first and last stop's start day, once per document, and the
-distance matrix computes each unordered pair of places once.
+distance matrix computes and formats each unordered pair of places
+once.
 
 All emitters are pure text producers: identical inputs give
 byte-identical output. The KML, GeoJSON and matrix documents also come
@@ -15,9 +16,11 @@ as records, from :func:`kml_records`, :func:`geojson_records` and
 :func:`matrix_records`. Each of these checks, resolves and orders
 before it returns, then yields one string per record (a placemark, a
 feature, a row), each ending its line, so a caller can write the
-document as it is formatted. :func:`emit_kml`, :func:`emit_geojson`
-and :func:`distance_matrix` join those records once, so each peaks
-near twice its own size. Coordinates are written
+document as it is formatted; the matrix also holds the cells left of
+the diagonal that it has not yet written, at most about a quarter of
+its cells, as ASCII text. :func:`emit_kml`, :func:`emit_geojson` and
+:func:`distance_matrix` join those records once, so each peaks near
+twice its own size. Coordinates are written
 with 6 decimal places (about 0.11 m, beyond source accuracy, and
 diff-stable) and distances with 3, rounded half-even. Nothing here
 touches the filesystem.
@@ -27,13 +30,12 @@ from __future__ import annotations
 
 import io
 import re
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .gazetteer import GazetteerEntry
-from .geo import haversine_km, itinerary_stops, place_identity
+from .geo import distances_km, itinerary_stops, place_identity
 from .model import (
     Biography,
     GeoPoint,
@@ -320,15 +322,15 @@ def distance_matrix(
 
     Places appear in order of first itinerary occurrence; keyed places
     are labeled by normalized key, inline-only points by
-    "lat,lon". Each unordered pair is computed once, as
-    ``haversine_km(points[i], points[j])`` with i < j, into a flat upper
-    triangle; a row reads its cells left of the diagonal back from the
-    rows above. So the diagonal is 0.000 and the matrix is exactly
+    "lat,lon". Each unordered pair is computed and formatted once: row
+    i hands ``points[i + 1:]`` to :func:`vitamap.geo.distances_km` and
+    writes those cells, right of the diagonal, by one ``",%.3f"``
+    template; row j > i writes cell (i, j) again as its cell (j, i),
+    from that text. So the diagonal is 0.000 and the matrix is exactly
     symmetric.
 
     Labels are quoted as csv.writer quotes them, in the header and at
-    the start of each row. The cells never need quoting, so each row's
-    cells are written by one ``%.3f`` template, built once. Raises
+    the start of each row. The cells never need quoting. Raises
     InvalidBiographyError or UnknownPlace, as :func:`emit_kml` does.
     """
     return "".join(matrix_records(biography, gazetteer))
@@ -339,8 +341,8 @@ def matrix_records(
 ) -> Iterator[str]:
     """The rows of :func:`distance_matrix`, header first, each ending its
     line. It validates, resolves, orders and labels the places before it
-    returns, as :func:`kml_records` does; each row's distances are
-    computed as it is drawn."""
+    returns, as :func:`kml_records` does; each row's cells right of the
+    diagonal are computed and formatted as it is drawn."""
     _check_valid(biography)
     quoted: list[str] = []
     points: list[GeoPoint] = []
@@ -357,19 +359,19 @@ def matrix_records(
 
 
 def _matrix_rows(quoted: list[str], points: list[GeoPoint]) -> Iterator[str]:
-    template = ",".join(["%.3f"] * len(points))
     yield ",".join(["place", *quoted]) + "\n"
-    # Cell (j, i) with j < i is upper[row_start[j] + i]; doubles in an
-    # array take 8 bytes a cell, a list of floats 32. The triangle goes
-    # with the generator, once the last row is drawn.
-    upper = array("d")
-    row_start: list[int] = []
+    # columns[0] holds the next row's cells left of the diagonal, each with
+    # its comma, as the rows above formatted them: one byte a character.
+    # A row takes its column out, so at most about a quarter of the cells
+    # are held at once.
+    columns = [bytearray() for _ in points]
     for i, (label, a) in enumerate(zip(quoted, points)):
-        right = [haversine_km(a, b) for b in points[i + 1 :]]
-        left = [upper[start + i] for start in row_start]
-        row_start.append(len(upper) - i - 1)
-        upper.extend(right)
-        yield f"{label},{template % (*left, 0.0, *right)}\n"
+        left = columns.pop(0).decode()
+        right = ",%.3f" * len(columns) % tuple(distances_km(a, points[i + 1 :]))
+        for column, cell in zip(columns, right.encode().split(b",")[1:]):
+            column += cell
+            column += b","
+        yield f"{label},{left}0.000{right}\n"
 
 
 def _csv_field(text: str) -> str:

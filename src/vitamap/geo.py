@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import asin, cos, sin, sqrt
 
@@ -50,10 +51,19 @@ class BoundingBox:
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km between two normalized points.
+    """Great-circle distance in km between two normalized points:
+    ``distances_km(a, (b,))[0]``. Symmetric by construction."""
+    return distances_km(a, (b,))[0]
 
-    Symmetric by construction; the arc term is clamped to [0, 1] so
-    antipodal pairs cannot wander out of asin's domain.
+
+def distances_km(a: GeoPoint, points: Iterable[GeoPoint]) -> list[float]:
+    """Great-circle distance in km from ``a`` to each of ``points``, in
+    order: the one haversine kernel.
+
+    The arc term is clamped to [0, 1], NaN to 0, as
+    ``min(1.0, max(0.0, h))`` clamps it, so antipodal pairs cannot
+    wander out of asin's domain. ``a``'s coordinates and cosine are read
+    once per call; every pair gets the same operations in the same order.
 
     Degrees become radians by one multiplication with ``_RADIAN``, the
     same ``pi / 180`` that ``math.radians`` multiplies by, so each
@@ -62,17 +72,16 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     subnormal range, where its squared sine is 0 either way. The result
     is therefore bit-identical to the textbook ``math.radians`` form.
     """
-    lat1 = a.lat * _RADIAN
-    lat2 = b.lat * _RADIAN
-    h = (
-        sin((b.lat - a.lat) * _HALF_RADIAN) ** 2
-        + cos(lat1) * cos(lat2) * sin((b.lon - a.lon) * _HALF_RADIAN) ** 2
-    )
-    if h > 1.0:
-        h = 1.0
-    elif not h > 0.0:  # as max(0.0, h): -0.0 and NaN become 0.0 too
-        h = 0.0
-    return _DIAMETER_KM * asin(sqrt(h))
+    lat1, lon1 = a.lat, a.lon
+    cos_lat1 = cos(lat1 * _RADIAN)
+    return [
+        _DIAMETER_KM * asin(sqrt(1.0 if h > 1.0 else h if h > 0.0 else 0.0))
+        for b in points
+        for h in [
+            sin((b.lat - lat1) * _HALF_RADIAN) ** 2
+            + cos_lat1 * cos(b.lat * _RADIAN) * sin((b.lon - lon1) * _HALF_RADIAN) ** 2
+        ]
+    ]
 
 
 def itinerary_order(biography: Biography) -> list[LifeEvent]:

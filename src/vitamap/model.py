@@ -232,10 +232,11 @@ class Biography:
             raise ValueError("gazetteer_hint must not be empty (use None)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItineraryLeg:
     """One hop of a chronological route: the event it carries (ids may
-    repeat, so never look it up by id), its point, leg and running km."""
+    repeat, so never look it up by id), its point, leg and running km.
+    Slotted: an itinerary holds one per stop."""
 
     index: int
     event: LifeEvent

@@ -31,6 +31,7 @@ from vitamap.emit import (
 )
 from vitamap.geo import (
     build_itinerary,
+    distances_km,
     haversine_km,
     itinerary_order,
     itinerary_stops,
@@ -497,16 +498,17 @@ def generated_biography(n: int, seed: int = 4) -> Biography:
     return simple_biography(*events)
 
 
-def count_calls(monkeypatch, function) -> list[int]:
+def count_calls(monkeypatch, function, weigh=lambda *args: 1) -> list[int]:
     """Wrap function at every vitamap module that binds it.
 
-    The returned one-element list holds the running call count;
-    monkeypatch restores every binding when the test ends.
+    The returned one-element list holds the running sum of ``weigh``
+    over the calls' arguments, by default the call count; monkeypatch
+    restores every binding when the test ends.
     """
     calls = [0]
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += weigh(*args)
         return function(*args)
 
     for name, module in list(sys.modules.items()):
@@ -515,6 +517,18 @@ def count_calls(monkeypatch, function) -> list[int]:
                 if value is function:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+MATRIX_PLACES = 300
+
+
+def spread_biography(places: int) -> Biography:
+    """One event at each of ``places`` inline points spread over the globe."""
+    events = []
+    for i in range(places):
+        point = GeoPoint(-80 + i / 2, 1.19 * (37 * i % places) - 179)
+        events.append(day_event(f"e{i}", 1000 + i, 1, 1, place_key=None, point=point))
+    return simple_biography(*events)
 
 
 class TestComplexityGuards:
@@ -558,28 +572,40 @@ class TestComplexityGuards:
         ]
         # A revisit adds a row to the itinerary but no place to the matrix.
         events.append(day_event("back", 1990, 1, 1, place_key=None, point=events[0].point))
+        # Each row hands its right-of-diagonal points to the row kernel once.
+        handed = count_calls(monkeypatch, distances_km, lambda a, points: len(points))
         calls = count_calls(monkeypatch, haversine_km)
         rows = list(csv.reader(io.StringIO(distance_matrix(simple_biography(*events), GAZ))))
         assert len(rows) == places + 1
-        assert calls[0] == places * (places - 1) // 2
+        assert handed[0] == places * (places - 1) // 2
+        assert calls[0] == 0
 
     def test_distance_matrix_peak_is_about_twice_its_output(self):
         # The rows and their join are each about the output's size; the
-        # triangle of distances, about 0.45 of it, is freed before the join.
-        places = 300
-        events = []
-        for i in range(places):
-            point = GeoPoint(-80 + i / 2, 1.19 * (37 * i % places) - 179)
-            events.append(day_event(f"e{i}", 1000 + i, 1, 1, place_key=None, point=point))
-        b = simple_biography(*events)
+        # left cells still to be written go with the last row, before the join.
+        b = spread_biography(MATRIX_PLACES)
         tracemalloc.start()
         try:
             text = distance_matrix(b, GAZ)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text.count("\n") == places + 1
+        assert text.count("\n") == MATRIX_PLACES + 1
         assert peak < 2.3 * len(text)
+
+    def test_streamed_matrix_peak_is_well_under_its_output(self):
+        # Drawn a row at a time, the matrix holds one row and the left cells
+        # not yet written: at most about a quarter of the cells, one byte a
+        # character.
+        b = spread_biography(MATRIX_PLACES)
+        tracemalloc.start()
+        try:
+            size = sum(map(len, matrix_records(b, GAZ)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(distance_matrix(b, GAZ))
+        assert peak < 0.4 * size
 
     @pytest.mark.parametrize("emitter", [emit_kml, emit_geojson])
     def test_emitter_peak_is_about_twice_its_output(self, emitter):

@@ -21,6 +21,7 @@ from vitamap.model import (
     DateInterval,
     Diagnostic,
     GeoPoint,
+    ItineraryLeg,
     LifeEvent,
     days_in_month,
     fold_key,
@@ -78,9 +79,9 @@ class TestGeoPoint:
 class TestSlottedValues:
     """The per-row and per-event values are slotted: a gazetteer holds a
     GeoPoint and a GazetteerEntry per row, a biography a DateInterval and
-    a LifeEvent per event."""
+    a LifeEvent per event, an itinerary an ItineraryLeg per stop."""
 
-    @pytest.fixture(params=["point", "entry", "interval", "event"])
+    @pytest.fixture(params=["point", "entry", "interval", "event", "leg"])
     def make(self, request):
         return {
             "point": lambda: GeoPoint(41.9, 12.5),
@@ -93,6 +94,13 @@ class TestSlottedValues:
                 place_key="  Deir_el  Medina ",
                 attachments=("tomb.jpg",),
                 line=7,
+            ),
+            "leg": lambda: ItineraryLeg(
+                index=3,
+                event=event("a", place_key="giza"),
+                point=GeoPoint(29.97, 31.13),
+                leg_km=2.5,
+                cum_km=10.0,
             ),
         }[request.param]
 
