@@ -113,7 +113,8 @@ _NOT_XML_CHAR = dict.fromkeys(
 
 
 def _xml_escape(text: str) -> str:
-    text = text.translate(_NOT_XML_CHAR)
+    if not text.isprintable():  # every code point in _NOT_XML_CHAR is non-printable
+        text = text.translate(_NOT_XML_CHAR)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -235,7 +236,8 @@ def geojson_records(
 def _geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
     import json  # imported here: only GeoJSON needs it, not every start-up
 
-    dumps = json.dumps
+    # json.dumps(..., ensure_ascii=False) would build this encoder for each feature.
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     yield '{\n  "type": "FeatureCollection",\n  "features": [\n'
     last = len(stops) - 1
     for i, (event, point) in enumerate(stops):
@@ -254,7 +256,7 @@ def _geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
             '      "type": "Feature",\n'
             '      "geometry": {"type": "Point", "coordinates": '
             f"[{point.lon:.6f}, {point.lat:.6f}]}},\n"
-            f'      "properties": {dumps(properties, ensure_ascii=False)}\n'
+            f'      "properties": {encode(properties)}\n'
             f"    }}{',' if i < last else ''}\n"
         )
     yield "  ]\n}\n"

@@ -49,7 +49,7 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def iter_lines(text: str, chunk: int = 1 << 14) -> Iterator[str]:
+def iter_lines(text: str, chunk: int = 1 << 12) -> Iterator[str]:
     """The lines of :func:`split_lines`, split about ``chunk`` characters
     at a time, so that no list of every line is ever held.
 
@@ -195,7 +195,8 @@ class LifeEvent:
         key = None if self.place_key is None else fold_key(self.place_key)
         if key == "":
             raise ValueError(f"place_key normalizes to empty key (use None): {self.place_key!r}")
-        object.__setattr__(self, "key", key)
+        # A canonical place_key is its own key: one string, not two equal ones.
+        object.__setattr__(self, "key", self.place_key if key == self.place_key else key)
         if type(self.attachments) is not tuple:  # a list, say: store a tuple
             object.__setattr__(self, "attachments", tuple(self.attachments))
         for path in self.attachments:

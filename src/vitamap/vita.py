@@ -61,6 +61,9 @@ _SHORT_PATH_KEYS = {
     "skip": frozenset(),
 }
 
+# Each kind's one string, which every event of that kind holds.
+_KINDS = {kind: kind for kind in EVENT_KINDS}
+
 _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?\Z")
 # Matches exactly the names that fold_key folds to "", without folding them.
 _FOLDS_TO_EMPTY = re.compile(r"[\s_-]*\Z").match
@@ -129,6 +132,10 @@ def parse_biography(source: str) -> Biography:
     mode: str | None = None  # None, "biography", "event" or "skip"
     saw_event_block = False
     header_missing_reported = False
+    # Within this parse, events share equal values: one string per place
+    # text, one GeoPoint per (lat text, lon text).
+    places: dict[str, str] = {}
+    points: dict[tuple[str, str], GeoPoint] = {}
 
     def report_missing_header() -> None:
         nonlocal header_missing_reported
@@ -159,7 +166,9 @@ def parse_biography(source: str) -> Biography:
         if len(body) > 1 and body[0] == "[" and body[-1] == "]":
             name = body[1:-1]
             if event_line:
-                _finish_event(line_at, event_line, pairs, attachments, diags, events)
+                _finish_event(
+                    line_at, event_line, pairs, attachments, diags, events, places, points
+                )
                 event_line = 0
             if name == "event":
                 if not bio_line:
@@ -200,7 +209,7 @@ def parse_biography(source: str) -> Biography:
             pairs[key] = (value, lineno)
 
     if event_line:
-        _finish_event(line_at, event_line, pairs, attachments, diags, events)
+        _finish_event(line_at, event_line, pairs, attachments, diags, events, places, points)
 
     if not bio_line:
         report_missing_header()
@@ -256,6 +265,8 @@ def _finish_event(
     attachments: list[_Pair],
     diags: list[Diagnostic],
     events: list[LifeEvent],
+    places: dict[str, str],
+    points: dict[tuple[str, str], GeoPoint],
 ) -> None:
     """Check one [event] block; append its event, or its findings to diags."""
     before = len(diags)
@@ -300,7 +311,12 @@ def _finish_event(
         assert present is not None
         diags.append(_at(line_at, present, "lat and lon must be given together"))
     elif lat is not None and lon is not None:
-        point = _parse_point(line_at, lat, lon, diags)
+        # Keyed by the texts, not the floats: "0" and "-0" are two points.
+        point = points.get((lat[0], lon[0]))
+        if point is None:
+            point = _parse_point(line_at, lat, lon, diags)
+            if point is not None:  # a bad value is reported at each of its lines
+                points[lat[0], lon[0]] = point
 
     place = pairs.get("place")
     if place is None and point is None and before == len(diags):
@@ -321,9 +337,9 @@ def _finish_event(
         events.append(
             LifeEvent(
                 event_id[0],
-                kind[0] if kind else "other",
+                _KINDS[kind[0]] if kind else "other",
                 when,
-                place[0] if place else None,
+                places.setdefault(place[0], place[0]) if place else None,
                 point,
                 label[0] if label else "",
                 note[0] if note else "",

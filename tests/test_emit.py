@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from vitamap.cli import main
 from vitamap.emit import (
+    _NOT_XML_CHAR,
     DEFAULT_PALETTE,
     EmitConfig,
     KML_NAMESPACE,
+    _xml_escape,
     distance_matrix,
     emit_geojson,
     emit_itinerarium,
@@ -212,6 +214,16 @@ class TestEmitKml:
         b = simple_biography(NEFERTARI, day_event("g", 1906, 5, 2, note="again"))
         assert emit_kml(b, GAZ) == emit_kml(b, GAZ)
 
+    def test_every_code_point_replaced_is_non_printable(self):
+        # _xml_escape translates only a text that is not printable.
+        assert not any(chr(c).isprintable() for c in _NOT_XML_CHAR)
+
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(sorted(map(chr, _NOT_XML_CHAR))))))
+    def test_xml_escape_equals_always_translating(self, text):
+        always = text.translate(_NOT_XML_CHAR)
+        expected = always.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        assert _xml_escape(text) == expected
+
 
 class TestEmitGeoJson:
     def test_axis_order_and_decimals(self):
@@ -248,11 +260,14 @@ class TestEmitGeoJson:
     def test_valid_for_any_biography(self, b, data):
         keys = {normalize_key(e.place_key) for e in b.events if e.place_key is not None}
         gazetteer = {k: GazetteerEntry(k, k, data.draw(geo_points)) for k in sorted(keys)}
-        features = json.loads(emit_geojson(b, gazetteer))["features"]
+        text = emit_geojson(b, gazetteer)
+        features = json.loads(text)["features"]
+        prefix = '      "properties": '
+        property_lines = [line for line in text.split("\n") if line.startswith(prefix)]
         # Itinerary order: start day, end day, then authoring order.
         order = sorted(range(len(b.events)), key=lambda i: (b.events[i].when.start, b.events[i].when.end, i))
-        assert len(features) == len(order)
-        for i, feature in zip(order, features):
+        assert len(features) == len(property_lines) == len(order)
+        for i, feature, line in zip(order, features, property_lines):
             e = b.events[i]
             point = e.point or gazetteer[normalize_key(e.place_key)].point
             assert feature["type"] == "Feature"
@@ -261,7 +276,7 @@ class TestEmitGeoJson:
                 "type": "Point",
                 "coordinates": [float(f"{point.lon:.6f}"), float(f"{point.lat:.6f}")],
             }
-            assert feature["properties"] == {
+            properties = {
                 "id": e.id,
                 "label": e.label,
                 "kind": e.kind,
@@ -271,6 +286,9 @@ class TestEmitGeoJson:
                 "note": e.note,
                 "attachments": list(e.attachments),
             }
+            assert feature["properties"] == properties
+            # Written as json.dumps writes them, byte for byte.
+            assert line == prefix + json.dumps(properties, ensure_ascii=False)
 
 
 class TestEmitItinerarium:

@@ -181,7 +181,7 @@ class TestIterLines:
     def test_default_chunk_on_a_long_text(self):
         ends = ("\n", "\r\n", "\r")
         text = "".join(f"line {i}{ends[i % 3]}" for i in range(20_000))
-        assert len(text) > 8 * (1 << 14)
+        assert len(text) > 8 * (1 << 12)
         assert list(iter_lines(text)) == split_lines(text)
 
     def test_splits_a_piece_at_a_time(self, monkeypatch):
@@ -347,6 +347,12 @@ class TestEventKey:
         twin = dataclasses.replace(e, line=40)  # line takes no part either
         object.__setattr__(twin, "key", "elsewhere")
         assert twin == e and hash(twin) == hash(e)
+
+    def test_canonical_place_key_is_its_own_key(self):
+        place = "".join(["deir-el", "-medina"])  # not an interned literal
+        assert event("a", place_key=place).key is place
+        folded = event("b", place_key="Deir el_Medina")
+        assert folded.key == place and folded.key is not folded.place_key
 
     def test_replace_recomputes_key(self):
         e = event("a", place_key="giza")

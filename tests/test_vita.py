@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vitamap import vita
+from vitamap.emit import emit_geojson, emit_kml
 from vitamap.model import (
     Biography,
     CalendarDate,
@@ -496,9 +498,10 @@ class TestLexerColumns:
 
 
 class TestParseMemory:
-    def test_parse_peak_is_within_six_times_the_text(self):
+    def test_parse_peak_is_within_four_and_a_half_times_the_text(self):
         # No list of every line: the parse holds a piece of lines, the
-        # biography it builds, and the text it was given (not counted).
+        # biography it builds, with its repeated values shared, and the
+        # text it was given (not counted).
         text = long_timeline_text(3000)
         tracemalloc.start()
         try:
@@ -506,8 +509,8 @@ class TestParseMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(b.events) == 3000 and len(text) > 20 * (1 << 14)
-        assert peak <= 6 * len(text)
+        assert len(b.events) == 3000 and len(text) > 20 * (1 << 12)
+        assert peak <= 4.5 * len(text)
 
     def test_source_is_split_again_once_and_only_for_a_finding(self, monkeypatch):
         calls = []
@@ -517,7 +520,7 @@ class TestParseMemory:
         assert calls == []
         broken = text.replace("kind = work", "kind = job").replace("start = 1", "start = x1")
         found = diagnostics_of(broken)
-        assert len(found) > 300 and found[-1].line > text[: 1 << 14].count("\n") + 1
+        assert len(found) > 300 and found[-1].line > text[: 1 << 12].count("\n") + 1
         assert calls == [1]
 
     def test_no_events_finding_is_on_the_last_line(self):
@@ -526,6 +529,66 @@ class TestParseMemory:
                 line,
                 "biography has no events",
             )
+
+
+def events_of(*blocks: str) -> tuple[LifeEvent, ...]:
+    """The events of a biography of the given [event] block bodies."""
+    head = "[biography]\ntitle = T\nid = t\n"
+    return parse_biography(head + "".join(f"[event]\n{b}\n" for b in blocks)).events
+
+
+class TestSharedValues:
+    """Within one parse, events hold one object per repeated value."""
+
+    def test_equal_values_share_one_object(self):
+        a, b, c = events_of(
+            "id = a\nkind = visit\nstart = 1900\nplace = Old Mill\nlat = 1.5\nlon = 2.5",
+            "id = b\nkind = visit\nstart = 1901\nplace = Old Mill\nlat = 1.5\nlon = 2.5",
+            "id = c\nkind = visit\nstart = 1902\nplace = old-mill\nlat = 1.50\nlon = 2.5",
+        )
+        assert a.kind is b.kind is c.kind
+        assert a.place_key is b.place_key is a.label
+        assert a.point is b.point
+        # Equal floats from other texts are equal points, not one shared point.
+        assert c.point == a.point and c.point is not a.point
+
+    def test_canonical_place_is_its_own_key(self):
+        canonical, folded = events_of(
+            "id = a\nstart = 1900\nplace = old-mill", "id = b\nstart = 1901\nplace = Old Mill"
+        )
+        assert canonical.key is canonical.place_key
+        assert folded.key == "old-mill" and folded.key is not canonical.key
+
+    @pytest.mark.parametrize("fmt", ["kml", "geojson"])
+    def test_signed_zero_keeps_its_sign(self, fmt):
+        b = parse_biography(
+            "[biography]\ntitle = T\nid = t\n"
+            + "".join(
+                f"[event]\nid = e{i}\nstart = {1900 + i}\nlat = {lat}\nlon = {lon}\n"
+                for i, (lat, lon) in enumerate([("0", "0"), ("-0", "0"), ("0", "-0"), ("-0", "-0")])
+            )
+        )
+        if fmt == "kml":
+            found = re.findall(r"<coordinates>(.*),0</coordinates>", emit_kml(b, {}))
+            assert found == ["0.000000,0.000000", "0.000000,-0.000000",
+                             "-0.000000,0.000000", "-0.000000,-0.000000"]
+        else:
+            found = re.findall(r'"coordinates": \[(.*)\]', emit_geojson(b, {}))
+            assert found == ["0.000000, 0.000000", "0.000000, -0.000000",
+                             "-0.000000, 0.000000", "-0.000000, -0.000000"]
+
+    @pytest.mark.parametrize(
+        "lat,lon,message",
+        [("91", "2", "latitude out of range"), ("x", "2", "invalid latitude 'x'"),
+         ("1", "2_0", "invalid longitude '2_0'")],
+    )
+    def test_repeated_bad_point_reported_at_each_line(self, lat, lon, message):
+        source = "[biography]\ntitle = T\nid = t\n" + "".join(
+            f"[event]\nid = e{i}\nstart = 1900\nlat = {lat}\nlon = {lon}\n" for i in range(3)
+        )
+        found = [(d.line, d.message) for d in diagnostics_of(source)]
+        line = 7 if lon == "2" else 8  # the culprit's line in the first block
+        assert found == [(line, message), (line + 5, message), (line + 10, message)]
 
 
 # Good and broken lines of every kind, for texts cut at any chunk size.
