@@ -96,10 +96,14 @@ def _bucket(start: int, t0: int, t1: int, bucket_count: int) -> int:
     return bucket_count * (start - t0) // (t1 - t0 + 1)
 
 
-def _check_valid(biography: Biography) -> None:
+def _checked_stops(
+    biography: Biography, gazetteer: dict[str, GazetteerEntry]
+) -> list[tuple[LifeEvent, GeoPoint]]:
+    """:func:`vitamap.geo.itinerary_stops`, once the error checks pass."""
     errors = validation_errors(biography)
     if errors:
         raise InvalidBiographyError(errors)
+    return itinerary_stops(biography, gazetteer)
 
 
 # Code points outside XML 1.0 Char (section 2.2): C0 controls other than
@@ -165,8 +169,7 @@ def kml_records(
     ``emit_kml`` raises and nothing is raised while the records are drawn.
     """
     config = config or EmitConfig()
-    _check_valid(biography)
-    stops = itinerary_stops(biography, gazetteer)
+    stops = _checked_stops(biography, gazetteer)
     # Itinerary order sorts by start day: the first and last stops bound the starts.
     t0 = to_day_number(stops[0][0].when.start)
     t1 = to_day_number(stops[-1][0].when.start)
@@ -229,8 +232,7 @@ def geojson_records(
     """The records of :func:`emit_geojson`'s document, each ending its
     line: the head, each feature, the tail. It validates, resolves and
     orders before it returns, as :func:`kml_records` does."""
-    _check_valid(biography)
-    return _geojson_records(itinerary_stops(biography, gazetteer))
+    return _geojson_records(_checked_stops(biography, gazetteer))
 
 
 def _geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
@@ -345,19 +347,14 @@ def matrix_records(
     line. It validates, resolves, orders and labels the places before it
     returns, as :func:`kml_records` does; each row's cells right of the
     diagonal are computed and formatted as it is drawn."""
-    _check_valid(biography)
-    quoted: list[str] = []
-    points: list[GeoPoint] = []
-    seen: set[str | tuple[float, float]] = set()
-    for event, point in itinerary_stops(biography, gazetteer):
-        identity = place_identity(event, point)
-        if identity in seen:
-            continue
-        seen.add(identity)
-        label = identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}"
-        quoted.append(_csv_field(label))
-        points.append(point)
-    return _matrix_rows(quoted, points)
+    places: dict[str | tuple[float, float], GeoPoint] = {}  # identity -> first point
+    for event, point in _checked_stops(biography, gazetteer):
+        places.setdefault(place_identity(event, point), point)
+    quoted = [
+        _csv_field(identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}")
+        for identity, point in places.items()
+    ]
+    return _matrix_rows(quoted, list(places.values()))
 
 
 def _matrix_rows(quoted: list[str], points: list[GeoPoint]) -> Iterator[str]:

@@ -314,17 +314,17 @@ def validate_biography(
     result is deterministic for identical inputs.
     """
     events = biography.events
-    days = [(to_day_number(e.when.start), to_day_number(e.when.end)) for e in events]
-    # Sweep residences in start order; the heap holds, by end day, those not
+    # Sweep residences in start order; the heap holds, by end date, those not
     # yet ended, which all overlap the next. The later-authored one reports.
     overlapped: dict[int, list[int]] = {}  # authoring index -> earlier ones
-    ongoing: list[tuple[int, int]] = []  # (end day, authoring index)
-    for start, i in sorted((days[i][0], i) for i, e in enumerate(events) if e.kind == "residence"):
+    ongoing: list[tuple[date, int]] = []  # (end date, authoring index)
+    residences = sorted((e.when.start, i) for i, e in enumerate(events) if e.kind == "residence")
+    for start, i in residences:
         while ongoing and ongoing[0][0] < start:
             heappop(ongoing)
         for _, j in ongoing:
             overlapped.setdefault(max(i, j), []).append(min(i, j))
-        heappush(ongoing, (days[i][1], i))
+        heappush(ongoing, (events[i].when.end, i))
 
     out: list[Diagnostic] = []
     for i, (event, line, errors) in enumerate(_checked_events(biography)):
@@ -333,7 +333,7 @@ def validate_biography(
             for j in sorted(overlapped[i]):
                 message = f"overlapping residences: '{events[j].id}' and '{event.id}'"
                 out.append(Diagnostic("warning", event.id, message, line))
-        if i and days[i][0] < days[i - 1][0]:
+        if i and event.when.start < events[i - 1].when.start:
             out.append(Diagnostic("warning", event.id, "event out of chronological order", line))
 
         if base_dir is not None:

@@ -29,7 +29,6 @@ the rest of the file.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from datetime import date
 
 from .model import (
@@ -44,7 +43,6 @@ from .model import (
     is_token,
     iter_lines,
     parse_coordinate,
-    split_lines,
 )
 
 _ASCII_WS = " \t\r\f\v"
@@ -68,11 +66,9 @@ _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))
 # Matches exactly the names that fold_key folds to "", without folding them.
 _FOLDS_TO_EMPTY = re.compile(r"[\s_-]*\Z").match
 
-# A key's value and the line it is on; its column is found again from the
-# line only when a finding needs it (see _at).
-_Pair = tuple[str, int]
-# The text of a 1-based line of the source.
-_LineAt = Callable[[int], str]
+# A key's value, its line number, and that line with its comment cut; the
+# value's column is worked out from the line only when a finding needs it.
+_Pair = tuple[str, int, str]
 
 
 class VitaParseError(Exception):
@@ -143,13 +139,6 @@ def parse_biography(source: str) -> Biography:
             diags.append(ParseDiagnostic(1, 1, "missing [biography] header"))
             header_missing_reported = True
 
-    lines: list[str] = []  # the source split again, once, when a finding needs a column
-
-    def line_at(lineno: int) -> str:
-        if not lines:
-            lines.extend(split_lines(source))
-        return lines[lineno - 1]
-
     for lineno, line in enumerate(iter_lines(source), start=1):
         if "#" in line:
             line = line.partition("#")[0]
@@ -160,15 +149,13 @@ def parse_biography(source: str) -> Biography:
         key = raw_key.rstrip(_ASCII_WS)
         value = rest.lstrip(_ASCII_WS)
         if value and key in short_path_keys and key not in pairs:
-            pairs[key] = (value, lineno)
+            pairs[key] = (value, lineno, line)
             continue
 
         if len(body) > 1 and body[0] == "[" and body[-1] == "]":
             name = body[1:-1]
             if event_line:
-                _finish_event(
-                    line_at, event_line, pairs, attachments, diags, events, places, points
-                )
+                _finish_event(event_line, pairs, attachments, diags, events, places, points)
                 event_line = 0
             if name == "event":
                 if not bio_line:
@@ -202,26 +189,26 @@ def parse_biography(source: str) -> Biography:
             column = col + len(raw_key)  # the '='
             diags.append(ParseDiagnostic(lineno, column, f"empty value for key '{key}'"))
         elif key == "attach":
-            attachments.append((value, lineno))
+            attachments.append((value, lineno, line))
         elif key in pairs:
             diags.append(ParseDiagnostic(lineno, col, f"duplicate key '{key}'"))
         else:
-            pairs[key] = (value, lineno)
+            pairs[key] = (value, lineno, line)
 
     if event_line:
-        _finish_event(line_at, event_line, pairs, attachments, diags, events, places, points)
+        _finish_event(event_line, pairs, attachments, diags, events, places, points)
 
     if not bio_line:
         report_missing_header()
         raise VitaParseError(diags)
 
-    title, bio_id, hint = _finish_biography(line_at, bio_line, bio_pairs, diags)
+    _check_biography(bio_line, bio_pairs, diags)
     if not saw_event_block:  # located at the last line, which the loop left in lineno
         diags.append(ParseDiagnostic(lineno, 1, "biography has no events"))
     if diags:
         raise VitaParseError(diags)
-    assert title is not None and bio_id is not None
-    return Biography(title=title, id=bio_id, events=tuple(events), gazetteer_hint=hint)
+    hint = bio_pairs["gazetteer"][0] if "gazetteer" in bio_pairs else None
+    return Biography(bio_pairs["title"][0], bio_pairs["id"][0], tuple(events), hint)
 
 
 def _first_column(line: str) -> int:
@@ -229,37 +216,28 @@ def _first_column(line: str) -> int:
     return len(line) - len(line.lstrip(_ASCII_WS)) + 1
 
 
-def _at(line_at: _LineAt, pair: _Pair, message: str) -> Diagnostic:
-    """A finding at the value of a (value, line) pair. The value ends its
-    line once the comment is cut and trailing blanks are stripped."""
-    value, lineno = pair
-    text = line_at(lineno).partition("#")[0].rstrip(_ASCII_WS)
-    return ParseDiagnostic(lineno, len(text) - len(value) + 1, message)
+def _at(pair: _Pair, message: str) -> Diagnostic:
+    """A finding at the value of a (value, line number, line) pair. The
+    value ends its comment-cut line once trailing blanks are stripped."""
+    value, lineno, line = pair
+    return ParseDiagnostic(lineno, len(line.rstrip(_ASCII_WS)) - len(value) + 1, message)
 
 
-def _finish_biography(
-    line_at: _LineAt, header_line: int, pairs: dict[str, _Pair], diags: list[Diagnostic]
-) -> tuple[str | None, str | None, str | None]:
-    title = pairs.get("title")
+def _check_biography(header_line: int, pairs: dict[str, _Pair], diags: list[Diagnostic]) -> None:
+    """Check the [biography] block; append its findings to diags."""
     bio_id = pairs.get("id")
     hint = pairs.get("gazetteer")
-    if title is None:
+    if "title" not in pairs:
         diags.append(ParseDiagnostic(header_line, 1, "missing required key 'title'"))
     if bio_id is None:
         diags.append(ParseDiagnostic(header_line, 1, "missing required key 'id'"))
     elif not is_token(bio_id[0]):
-        diags.append(_at(line_at, bio_id, f"invalid biography id '{bio_id[0]}'"))
+        diags.append(_at(bio_id, f"invalid biography id '{bio_id[0]}'"))
     if hint is not None and hint[0].startswith("/"):
-        diags.append(_at(line_at, hint, "gazetteer path must be relative"))
-    return (
-        title[0] if title else None,
-        bio_id[0] if bio_id else None,
-        hint[0] if hint else None,
-    )
+        diags.append(_at(hint, "gazetteer path must be relative"))
 
 
 def _finish_event(
-    line_at: _LineAt,
     header_line: int,
     pairs: dict[str, _Pair],
     attachments: list[_Pair],
@@ -275,11 +253,11 @@ def _finish_event(
     if event_id is None:
         diags.append(ParseDiagnostic(header_line, 1, "event missing required key 'id'"))
     elif not is_token(event_id[0]):
-        diags.append(_at(line_at, event_id, f"invalid event id '{event_id[0]}'"))
+        diags.append(_at(event_id, f"invalid event id '{event_id[0]}'"))
 
     kind = pairs.get("kind")
     if kind is not None and kind[0] not in EVENT_KINDS:
-        diags.append(_at(line_at, kind, f"unknown kind '{kind[0]}'"))
+        diags.append(_at(kind, f"unknown kind '{kind[0]}'"))
 
     start = pairs.get("start")
     bounds = None
@@ -289,7 +267,7 @@ def _finish_event(
         try:
             bounds = _date_range(start[0])
         except ValueError as exc:
-            diags.append(_at(line_at, start, str(exc)))
+            diags.append(_at(start, str(exc)))
     when = None
     end = pairs.get("end")
     if end is None:
@@ -301,7 +279,7 @@ def _finish_event(
             if bounds is not None:  # else the start is already reported
                 when = DateInterval(bounds[0], last, bounds[2] or circa)
         except ValueError as exc:  # a malformed end, or "interval end precedes start"
-            diags.append(_at(line_at, end, str(exc)))
+            diags.append(_at(end, str(exc)))
 
     lat = pairs.get("lat")
     lon = pairs.get("lon")
@@ -309,12 +287,12 @@ def _finish_event(
     if (lat is None) != (lon is None):
         present = lat if lat is not None else lon
         assert present is not None
-        diags.append(_at(line_at, present, "lat and lon must be given together"))
+        diags.append(_at(present, "lat and lon must be given together"))
     elif lat is not None and lon is not None:
         # Keyed by the texts, not the floats: "0" and "-0" are two points.
         point = points.get((lat[0], lon[0]))
         if point is None:
-            point = _parse_point(line_at, lat, lon, diags)
+            point = _parse_point(lat, lon, diags)
             if point is not None:  # a bad value is reported at each of its lines
                 points[lat[0], lon[0]] = point
 
@@ -322,11 +300,11 @@ def _finish_event(
     if place is None and point is None and before == len(diags):
         diags.append(ParseDiagnostic(header_line, 1, "event needs a place or inline lat/lon"))
     elif place is not None and _FOLDS_TO_EMPTY(place[0]):
-        diags.append(_at(line_at, place, f"name normalizes to empty key: {place[0]!r}"))
+        diags.append(_at(place, f"name normalizes to empty key: {place[0]!r}"))
 
     for path in attachments:
         if path[0].startswith("/"):
-            diags.append(_at(line_at, path, "attachment path must be relative"))
+            diags.append(_at(path, "attachment path must be relative"))
 
     if len(diags) > before:
         return
@@ -343,7 +321,7 @@ def _finish_event(
                 point,
                 label[0] if label else "",
                 note[0] if note else "",
-                tuple([path for path, _ in attachments]) if attachments else (),
+                tuple([path for path, _, _ in attachments]) if attachments else (),
                 header_line,
             )
         )
@@ -351,21 +329,19 @@ def _finish_event(
         diags.append(ParseDiagnostic(header_line, 1, str(exc)))
 
 
-def _parse_point(
-    line_at: _LineAt, lat: _Pair, lon: _Pair, diags: list[Diagnostic]
-) -> GeoPoint | None:
+def _parse_point(lat: _Pair, lon: _Pair, diags: list[Diagnostic]) -> GeoPoint | None:
     values: list[float] = []
     for name, pair in (("latitude", lat), ("longitude", lon)):
         try:
             values.append(parse_coordinate(pair[0]))
         except ValueError:
-            diags.append(_at(line_at, pair, f"invalid {name} '{pair[0]}'"))
+            diags.append(_at(pair, f"invalid {name} '{pair[0]}'"))
             return None
     try:
         return GeoPoint(values[0], values[1])
     except ValueError as exc:
         culprit = lat if "latitude" in str(exc) else lon
-        diags.append(_at(line_at, culprit, str(exc).split(":")[0]))
+        diags.append(_at(culprit, str(exc).split(":")[0]))
         return None
 
 

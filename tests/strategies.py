@@ -1,7 +1,12 @@
-"""Hypothesis strategies shared by the round-trip and property tests, and
-a long generated timeline with its gazetteer for the memory gates."""
+"""Hypothesis strategies shared by the round-trip and property tests, a
+long generated timeline with its gazetteer for the memory gates, and
+events whose dates count their comparisons for the complexity guards."""
 
 from __future__ import annotations
+
+import dataclasses
+from collections.abc import Iterable
+from datetime import date
 
 from hypothesis import strategies as st
 
@@ -107,3 +112,32 @@ def long_timeline_gazetteer() -> str:
     return "".join(
         f"site-{i:05d}-abc\tSite {i}\t{i - 20}.5\t{3 * i}.25\tRegion\n" for i in range(40)
     )
+
+
+def counting_dates(events: Iterable[LifeEvent]) -> tuple[tuple[LifeEvent, ...], list[int]]:
+    """The events again, with dates of a ``date`` subclass that counts each
+    rich comparison made with it, and the one-element list of that count,
+    starting at 0 once the events are built."""
+    comparisons = [0]
+
+    class CountedDate(date):
+        __hash__ = date.__hash__
+
+    for name in ("lt", "le", "gt", "ge", "eq", "ne"):
+        def compare(self, other, op=getattr(date, f"__{name}__")):
+            comparisons[0] += 1
+            return op(self, other)
+
+        setattr(CountedDate, f"__{name}__", compare)
+
+    def counted(d: date) -> CountedDate:
+        return CountedDate(d.year, d.month, d.day)
+
+    counted_events = tuple(
+        dataclasses.replace(
+            e, when=DateInterval(counted(e.when.start), counted(e.when.end), e.when.circa)
+        )
+        for e in events
+    )
+    comparisons[0] = 0
+    return counted_events, comparisons

@@ -16,6 +16,7 @@ import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import date
 from pathlib import Path
 from unittest import mock
 
@@ -756,6 +757,35 @@ def property_dir(tmp_path_factory) -> Path:
     return directory
 
 
+def check_rfc7946(text: str) -> None:
+    """The structure RFC 7946 asks of a FeatureCollection of Points."""
+    collection = json.loads(text)
+    assert collection.keys() == {"type", "features"}  # no "crs" member (section 4)
+    assert collection["type"] == "FeatureCollection"  # section 3.3
+    assert type(collection["features"]) is list and collection["features"]
+    for feature in collection["features"]:  # section 3.2
+        assert feature.keys() == {"type", "geometry", "properties"}
+        assert feature["type"] == "Feature" and type(feature["properties"]) is dict
+        assert feature["geometry"].keys() == {"type", "coordinates"}
+        assert feature["geometry"]["type"] == "Point"
+        # A position is [longitude, latitude] (section 3.1.1), in range.
+        lon, lat = feature["geometry"]["coordinates"]
+        assert type(lon) is float and -180.0 <= lon <= 180.0
+        assert type(lat) is float and -90.0 <= lat <= 90.0
+
+
+def check_kml_placemarks(text: str) -> None:
+    """Each Placemark has one Point and a TimeSpan whose begin is not after its end."""
+    ns = {"k": emit.KML_NAMESPACE}
+    placemarks = ET.fromstring(text.encode("utf-8")).findall(".//k:Placemark", ns)
+    assert placemarks
+    for placemark in placemarks:
+        assert len(placemark.findall("k:Point", ns)) == 1
+        begin = placemark.findtext("k:TimeSpan/k:begin", None, ns)
+        end = placemark.findtext("k:TimeSpan/k:end", None, ns)
+        assert date.fromisoformat(begin) <= date.fromisoformat(end)
+
+
 class TestAnyInput:
     @settings(max_examples=150, deadline=None)
     @given(data=_vita_files())
@@ -774,9 +804,9 @@ class TestAnyInput:
                     code = main([*command, str(path), *gaz])
             assert code in (0, 1, 2)
             if code == 0 and command == ["compile"]:
-                ET.fromstring(out.getvalue().encode("utf-8"))
+                check_kml_placemarks(out.getvalue())
             elif code == 0 and command[0] == "compile":
-                json.loads(out.getvalue())
+                check_rfc7946(out.getvalue())
             assert [str(w.message) for w in caught] == []
             lines = err.getvalue().split("\n")
             assert lines.pop() == ""

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-import operator
 import pickle
 import random
 from datetime import date, timedelta
@@ -34,7 +33,7 @@ from vitamap.model import (
 )
 from vitamap.vita import parse_biography, serialize_biography
 
-from strategies import biographies
+from strategies import biographies, counting_dates
 
 EPOCH = date(1600, 1, 1)
 
@@ -470,31 +469,19 @@ class TestValidateBiography:
         ]
 
     @pytest.mark.parametrize("order", ["chronological", "newest-first", "shuffled"])
-    def test_overlap_check_is_n_log_n_in_comparisons(self, monkeypatch, order):
+    def test_overlap_check_is_n_log_n_in_comparisons(self, order):
         # R residences, each overlapping the one before it in time, written
         # in date order, newest first (as a curriculum vitae is) or in a
-        # seeded shuffle. Day numbers count every comparison made with
+        # seeded shuffle. Their dates count every comparison made with
         # them; the pairwise check makes about R*R/2.
-        comparisons = [0]
-
-        class CountedDay(int):
-            __hash__ = int.__hash__
-
-        for name in ("lt", "le", "gt", "ge", "eq", "ne"):
-            def compare(self, other, op=getattr(operator, name)):
-                comparisons[0] += 1
-                return op(int(self), int(other))
-
-            setattr(CountedDay, f"__{name}__", compare)
-
         r = 1024
         events = [residence(f"r{i}", 20 * i, 20 * i + 25) for i in range(r)]
         if order == "newest-first":
             events.reverse()
         elif order == "shuffled":
             random.Random(1).shuffle(events)
-        b = Biography(title="T", id="t", events=tuple(events))
-        monkeypatch.setattr(model, "to_day_number", lambda d: CountedDay(to_day_number(d)))
+        events, comparisons = counting_dates(events)
+        b = Biography(title="T", id="t", events=events)
         assert len(overlap_warnings(b)) == r - 1
         assert 0 < comparisons[0] <= 8 * r * math.log2(r)
 

@@ -512,16 +512,24 @@ class TestParseMemory:
         assert len(b.events) == 3000 and len(text) > 20 * (1 << 12)
         assert peak <= 4.5 * len(text)
 
-    def test_source_is_split_again_once_and_only_for_a_finding(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(vita, "split_lines", lambda text: calls.append(1) or split_lines(text))
-        text = long_timeline_text(300)
-        parse_biography(text)
-        assert calls == []
-        broken = text.replace("kind = work", "kind = job").replace("start = 1", "start = x1")
-        found = diagnostics_of(broken)
-        assert len(found) > 300 and found[-1].line > text[: 1 << 12].count("\n") + 1
-        assert calls == [1]
+    def test_failing_parse_peak_is_within_four_and_a_half_times_the_text(self):
+        # A finding is located from the line its value came on, so a parse
+        # that fails is held to the bound of one that succeeds: it makes no
+        # second copy of the source's lines.
+        text = long_timeline_text(3000).replace("start = 1", "start = x1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(VitaParseError) as excinfo:
+                parse_biography(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        found = excinfo.value.diagnostics
+        last = found[-1]
+        assert len(found) == 500 and last.line > text[: 1 << 12].count("\n") + 1
+        assert (last.line, last.column) == (4416, 9)  # the last "start = x1..." value
+        assert last.message == "malformed date expression 'x1998-03'"
+        assert peak <= 4.5 * len(text)
 
     def test_no_events_finding_is_on_the_last_line(self):
         for source, line in [("[biography]\ntitle = T\nid = t", 3), ("[biography]\r\n\r\n", 3)]:
