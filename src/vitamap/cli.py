@@ -210,8 +210,9 @@ def _run(formatter: Formatter, args: argparse.Namespace) -> None:
 def _read_text(path: Path, what: str) -> str:
     try:
         data = path.read_bytes()
-    except OSError as exc:
-        raise _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {exc.strerror or exc}")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {reason}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

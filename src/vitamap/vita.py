@@ -47,17 +47,16 @@ from .model import (
 
 _ASCII_WS = " \t\r\f\v"
 
-_BIOGRAPHY_KEYS = frozenset({"title", "id", "gazetteer"})
-_EVENT_KEYS = frozenset(
-    {"id", "kind", "start", "end", "place", "lat", "lon", "label", "note", "attach"}
-)
-_EMPTY_OK_KEYS = frozenset({"note", "label"})
-# The keys each mode stores on the short path: one value each, never empty.
-_SHORT_PATH_KEYS = {
-    "biography": _BIOGRAPHY_KEYS,
-    "event": _EVENT_KEYS - {"attach"},
+# The keys each block sets at most once: ``attach``, an event's one
+# repeatable key, is not among them. A header that is broken opens the
+# "skip" block, and None is the block before the first header.
+_KEYS: dict[str | None, frozenset[str]] = {
+    None: frozenset(),
+    "biography": frozenset({"title", "id", "gazetteer"}),
+    "event": frozenset({"id", "kind", "start", "end", "place", "lat", "lon", "label", "note"}),
     "skip": frozenset(),
 }
+_EMPTY_OK_KEYS = frozenset({"note", "label"})
 
 # Each kind's one string, which every event of that kind holds.
 _KINDS = {kind: kind for kind in EVENT_KINDS}
@@ -118,14 +117,13 @@ def parse_biography(source: str) -> Biography:
     either a Biography or at least one diagnostic, never a crash.
     """
     diags: list[Diagnostic] = []
-    events: list[LifeEvent] = []
+    events: list[LifeEvent | None] = []  # None for an event with findings
     bio_line = 0  # line of the [biography] header; 0 until one is seen
     bio_pairs: dict[str, _Pair] = {}
     event_line = 0  # header line of the open [event] block; 0 when none is open
     pairs: dict[str, _Pair] = {}  # the open block's keys
     attachments: list[_Pair] = []  # the open [event] block's attach values
-    short_path_keys: frozenset[str] = frozenset()
-    mode: str | None = None  # None, "biography", "event" or "skip"
+    block: str | None = None  # a key of _KEYS
     saw_event_block = False
     header_missing_reported = False
     # Within this parse, events share equal values: one string per place
@@ -139,6 +137,7 @@ def parse_biography(source: str) -> Biography:
             diags.append(ParseDiagnostic(1, 1, "missing [biography] header"))
             header_missing_reported = True
 
+    # Each non-blank line takes exactly one branch of this chain.
     for lineno, line in enumerate(iter_lines(source), start=1):
         if "#" in line:
             line = line.partition("#")[0]
@@ -148,55 +147,46 @@ def parse_biography(source: str) -> Biography:
         raw_key, eq, rest = body.partition("=")
         key = raw_key.rstrip(_ASCII_WS)
         value = rest.lstrip(_ASCII_WS)
-        if value and key in short_path_keys and key not in pairs:
+        if key in _KEYS[block] and key not in pairs and (value or eq and key in _EMPTY_OK_KEYS):
             pairs[key] = (value, lineno, line)
-            continue
-
-        if len(body) > 1 and body[0] == "[" and body[-1] == "]":
-            name = body[1:-1]
+        elif value and key == "attach" and block == "event":
+            attachments.append((value, lineno, line))
+        elif len(body) > 1 and body[0] == "[" and body[-1] == "]":
+            block = body[1:-1]
             if event_line:
-                _finish_event(event_line, pairs, attachments, diags, events, places, points)
+                events.append(_finish_event(event_line, pairs, attachments, diags, places, points))
                 event_line = 0
-            if name == "event":
+            if block == "event":
                 if not bio_line:
                     report_missing_header()
                 saw_event_block = True
                 event_line, pairs, attachments = lineno, {}, []
-            elif name == "biography" and not bio_line:
+            elif block == "biography" and not bio_line:
                 bio_line, pairs = lineno, bio_pairs
             else:
-                if name == "biography":
+                if block == "biography":
                     message = "duplicate [biography] block"
                 else:
-                    message = f"unknown block header '[{name}]'"
+                    message = f"unknown block header '[{block}]'"
                 diags.append(ParseDiagnostic(lineno, _first_column(line), message))
-                name = "skip"
-            mode = name
-            short_path_keys = _SHORT_PATH_KEYS[name]
-            continue
-
-        if mode is None:
+                block = "skip"
+        elif block is None:
             report_missing_header()
-            continue
-        if mode == "skip":
-            continue
-        col = _first_column(line)
-        if not eq or not key:
-            diags.append(ParseDiagnostic(lineno, col, "expected 'key = value'"))
-        elif key not in (_BIOGRAPHY_KEYS if mode == "biography" else _EVENT_KEYS):
-            diags.append(ParseDiagnostic(lineno, col, f"unknown key '{key}' in [{mode}]"))
-        elif not value and key not in _EMPTY_OK_KEYS:
-            column = col + len(raw_key)  # the '='
-            diags.append(ParseDiagnostic(lineno, column, f"empty value for key '{key}'"))
-        elif key == "attach":
-            attachments.append((value, lineno, line))
-        elif key in pairs:
-            diags.append(ParseDiagnostic(lineno, col, f"duplicate key '{key}'"))
-        else:
-            pairs[key] = (value, lineno, line)
+        elif block != "skip":  # a key line that stores nothing: one finding
+            col = _first_column(line)
+            if not eq or not key:
+                message = "expected 'key = value'"
+            elif key not in _KEYS[block] and not (key == "attach" and block == "event"):
+                message = f"unknown key '{key}' in [{block}]"
+            elif not value and key not in _EMPTY_OK_KEYS:
+                col += len(raw_key)  # the '='
+                message = f"empty value for key '{key}'"
+            else:
+                message = f"duplicate key '{key}'"
+            diags.append(ParseDiagnostic(lineno, col, message))
 
     if event_line:
-        _finish_event(event_line, pairs, attachments, diags, events, places, points)
+        events.append(_finish_event(event_line, pairs, attachments, diags, places, points))
 
     if not bio_line:
         report_missing_header()
@@ -208,7 +198,7 @@ def parse_biography(source: str) -> Biography:
     if diags:
         raise VitaParseError(diags)
     hint = bio_pairs["gazetteer"][0] if "gazetteer" in bio_pairs else None
-    return Biography(bio_pairs["title"][0], bio_pairs["id"][0], tuple(events), hint)
+    return Biography(bio_pairs["title"][0], bio_pairs["id"][0], tuple(filter(None, events)), hint)
 
 
 def _first_column(line: str) -> int:
@@ -242,11 +232,10 @@ def _finish_event(
     pairs: dict[str, _Pair],
     attachments: list[_Pair],
     diags: list[Diagnostic],
-    events: list[LifeEvent],
     places: dict[str, str],
     points: dict[tuple[str, str], GeoPoint],
-) -> None:
-    """Check one [event] block; append its event, or its findings to diags."""
+) -> LifeEvent | None:
+    """Check one [event] block: its event, or None with its findings in diags."""
     before = len(diags)
 
     event_id = pairs.get("id")
@@ -307,26 +296,25 @@ def _finish_event(
             diags.append(_at(path, "attachment path must be relative"))
 
     if len(diags) > before:
-        return
+        return None
     assert event_id is not None and when is not None
     label = pairs.get("label")
     note = pairs.get("note")
     try:
-        events.append(
-            LifeEvent(
-                event_id[0],
-                _KINDS[kind[0]] if kind else "other",
-                when,
-                places.setdefault(place[0], place[0]) if place else None,
-                point,
-                label[0] if label else "",
-                note[0] if note else "",
-                tuple([path for path, _, _ in attachments]) if attachments else (),
-                header_line,
-            )
+        return LifeEvent(
+            event_id[0],
+            _KINDS[kind[0]] if kind else "other",
+            when,
+            places.setdefault(place[0], place[0]) if place else None,
+            point,
+            label[0] if label else "",
+            note[0] if note else "",
+            tuple([path for path, _, _ in attachments]) if attachments else (),
+            header_line,
         )
     except ValueError as exc:  # belt and braces: surface as a diagnostic
         diags.append(ParseDiagnostic(header_line, 1, str(exc)))
+        return None
 
 
 def _parse_point(lat: _Pair, lon: _Pair, diags: list[Diagnostic]) -> GeoPoint | None:

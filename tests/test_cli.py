@@ -147,6 +147,22 @@ class TestStreamDiscipline:
         assert main(["validate", str(workspace / "missing.vita")]) == 2
         assert "cannot read input" in capsys.readouterr().err
 
+    def test_nul_byte_in_input_path_is_usage_error(self, capsys):
+        assert main(["stats", "a\x00b.vita"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot read input 'a\x00b.vita': embedded null byte\n"
+
+    @pytest.mark.parametrize("command", ["compile", "itinerary", "distances", "stats"])
+    def test_nul_byte_in_gazetteer_hint_is_usage_error(self, workspace, capsys, command):
+        path = workspace / "nul.vita"
+        path.write_text(OK_VITA.replace("= gazetteer.tsv", "= a\x00b.tsv"), encoding="utf-8")
+        gaz = workspace / "a\x00b.tsv"
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read gazetteer '{gaz}': embedded null byte\n"
+
 
 class TestUnknownPlace:
     @pytest.mark.parametrize("command", ["compile", "itinerary", "distances", "stats"])

@@ -455,6 +455,34 @@ class TestDiagnosticColumns:
                 [(7, 9, "unknown kind 'born'"), (10, 2, "unknown key 'bogus' in [event]")],
                 id="cr-line-ends",
             ),
+            pytest.param(
+                NEWTON_MINIMAL.replace("id = newton", "attach = a.jpg\nid = newton"),
+                [(3, 1, "unknown key 'attach' in [biography]")],
+                id="attach-in-biography",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "attach =\n",
+                [(10, 8, "empty value for key 'attach'")],
+                id="empty-attach",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "note =\nnote = x\n",
+                [(11, 1, "duplicate key 'note'")],
+                id="duplicate-key-after-empty-note",
+            ),
+            pytest.param(
+                NEWTON_MINIMAL + "[weird]\nfoo = 1\n= v\nnovalue\n",
+                [(10, 1, "unknown block header '[weird]'")],
+                id="lines-of-a-skipped-block",
+            ),
+            pytest.param(
+                "[event]\nstart = 1900\nplace = giza\n" + NEWTON_MINIMAL,
+                [
+                    (1, 1, "missing [biography] header"),
+                    (1, 1, "event missing required key 'id'"),
+                ],
+                id="event-without-id-before-biography",
+            ),
         ],
     )
     def test_located_findings(self, source, expected):
@@ -606,8 +634,9 @@ _ANY_LINE = st.sampled_from(
         "  [event]  # c", "[weird]", "id = e1", "id = e2", "kind = visit", "kind = job",
         "start = 1904", "start = c.1904-02", "start = 19x", "end = 1905", "end = 1800",
         "place = giza", "place = ---", "lat = 1.5", "lon = 2.5", "lat = 91", "lon = x",
-        "label = L # note", "note =", "attach = a.jpg", "attach = /a.jpg", "= v", "novalue",
-        "unknown = 1", "start =", "", " \t", "# only a comment",
+        "label = L # note", "note =", "note = n", "attach = a.jpg", "attach =",
+        "attach = /a.jpg", "= v", "novalue", "unknown = 1", "start =", "", " \t",
+        "# only a comment",
     ]
 )
 
