@@ -303,6 +303,8 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
             mode = os.stat(target).st_mode & 0o777  # an existing output keeps its mode
         except OSError:
             mode = None  # a new one gets 0o666 less the umask, from os.open
+        except ValueError as exc:  # a NUL byte in the path, which os.open would refuse too
+            raise _CliFailure(EXIT_USAGE, f"cannot write output '{output}': {exc}")
         for n in count():
             tmp = target.parent / f".{target.name}.{n}.tmp"
             try:

@@ -236,29 +236,27 @@ def geojson_records(
 
 
 def _geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
-    import json  # imported here: only GeoJSON needs it, not every start-up
+    # The string encoder of json.dumps(..., ensure_ascii=False), imported
+    # here: only GeoJSON needs it, not every start-up.
+    from json.encoder import encode_basestring as quote
 
-    # json.dumps(..., ensure_ascii=False) would build this encoder for each feature.
-    encode = json.JSONEncoder(ensure_ascii=False).encode
     yield '{\n  "type": "FeatureCollection",\n  "features": [\n'
     last = len(stops) - 1
     for i, (event, point) in enumerate(stops):
-        properties = {
-            "id": event.id,
-            "label": event.label,
-            "kind": event.kind,
-            "start": event.when.start.isoformat(),
-            "end": event.when.end.isoformat(),
-            "circa": event.when.circa,
-            "note": event.note,
-            "attachments": event.attachments,
-        }
+        when = event.when
+        # The properties as json.dumps(..., ensure_ascii=False) writes them:
+        # ids and kinds are tokens and dates are digits, so only free text
+        # can need escaping.
         yield (
             "    {\n"
             '      "type": "Feature",\n'
             '      "geometry": {"type": "Point", "coordinates": '
             f"[{point.lon:.6f}, {point.lat:.6f}]}},\n"
-            f'      "properties": {encode(properties)}\n'
+            f'      "properties": {{"id": "{event.id}", "label": {quote(event.label)}, '
+            f'"kind": "{event.kind}", "start": "{when.start.isoformat()}", '
+            f'"end": "{when.end.isoformat()}", "circa": {"true" if when.circa else "false"}, '
+            f'"note": {quote(event.note)}, '
+            f'"attachments": [{", ".join(map(quote, event.attachments))}]}}\n'
             f"    }}{',' if i < last else ''}\n"
         )
     yield "  ]\n}\n"

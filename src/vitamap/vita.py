@@ -86,6 +86,15 @@ def parse_date_expr(expr: str) -> DateInterval:
 
 def _date_range(expr: str) -> tuple[date, date, bool]:
     """The first day, last day and circa flag of a stripped date expression."""
+    # A YYYY-MM-DD day goes straight to date.fromisoformat. No other ISO form
+    # passes this guard, and what it refuses (a day out of range, a digit
+    # that is not ASCII) takes the regex path, which names the finding.
+    if len(expr) == 10 and expr[4] == expr[7] == "-":
+        try:
+            day = date.fromisoformat(expr)
+            return day, day, False
+        except ValueError:
+            pass
     if not expr:
         raise ValueError("empty date expression")
     m = _DATE_EXPR_RE.match(expr)
@@ -124,6 +133,7 @@ def parse_biography(source: str) -> Biography:
     pairs: dict[str, _Pair] = {}  # the open block's keys
     attachments: list[_Pair] = []  # the open [event] block's attach values
     block: str | None = None  # a key of _KEYS
+    keys = _KEYS[block]  # set at each header
     saw_event_block = False
     header_missing_reported = False
     # Within this parse, events share equal values: one string per place
@@ -137,20 +147,20 @@ def parse_biography(source: str) -> Biography:
             diags.append(ParseDiagnostic(1, 1, "missing [biography] header"))
             header_missing_reported = True
 
-    # Each non-blank line takes exactly one branch of this chain.
+    # Each non-blank line takes exactly one branch of this chain; only a
+    # line that stores nothing is stripped whole.
     for lineno, line in enumerate(iter_lines(source), start=1):
         if "#" in line:
             line = line.partition("#")[0]
-        body = line.strip(_ASCII_WS)
-        if not body:
-            continue
-        raw_key, eq, rest = body.partition("=")
-        key = raw_key.rstrip(_ASCII_WS)
-        value = rest.lstrip(_ASCII_WS)
-        if key in _KEYS[block] and key not in pairs and (value or eq and key in _EMPTY_OK_KEYS):
+        raw_key, eq, rest = line.partition("=")
+        key = raw_key.strip(_ASCII_WS)
+        value = rest.strip(_ASCII_WS)
+        if key in keys and key not in pairs and (value or eq and key in _EMPTY_OK_KEYS):
             pairs[key] = (value, lineno, line)
         elif value and key == "attach" and block == "event":
             attachments.append((value, lineno, line))
+        elif not (body := line.strip(_ASCII_WS)):
+            continue
         elif len(body) > 1 and body[0] == "[" and body[-1] == "]":
             block = body[1:-1]
             if event_line:
@@ -170,16 +180,17 @@ def parse_biography(source: str) -> Biography:
                     message = f"unknown block header '[{block}]'"
                 diags.append(ParseDiagnostic(lineno, _first_column(line), message))
                 block = "skip"
+            keys = _KEYS[block]
         elif block is None:
             report_missing_header()
         elif block != "skip":  # a key line that stores nothing: one finding
             col = _first_column(line)
             if not eq or not key:
                 message = "expected 'key = value'"
-            elif key not in _KEYS[block] and not (key == "attach" and block == "event"):
+            elif key not in keys and not (key == "attach" and block == "event"):
                 message = f"unknown key '{key}' in [{block}]"
             elif not value and key not in _EMPTY_OK_KEYS:
-                col += len(raw_key)  # the '='
+                col = len(raw_key) + 1  # the '='
                 message = f"empty value for key '{key}'"
             else:
                 message = f"duplicate key '{key}'"

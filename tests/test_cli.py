@@ -163,6 +163,21 @@ class TestStreamDiscipline:
         assert captured.out == ""
         assert captured.err == f"cannot read gazetteer '{gaz}': embedded null byte\n"
 
+    @pytest.mark.parametrize("command", ["compile", "itinerary", "distances", "stats"])
+    def test_nul_byte_in_output_path_is_usage_error(self, workspace, capsys, command):
+        out = workspace / "outs"
+        out.mkdir()
+        target = str(out / "a\x00b.txt")
+        assert main([command, vita(workspace, "ok"), "-o", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # The reason is the interpreter's: "embedded null byte" on 3.10 to 3.12,
+        # "stat: embedded null character in path" on 3.13.
+        with pytest.raises(ValueError) as refused:
+            os.stat(target)
+        assert captured.err == f"cannot write output '{target}': {refused.value}\n"
+        assert list(out.iterdir()) == []
+
 
 class TestUnknownPlace:
     @pytest.mark.parametrize("command", ["compile", "itinerary", "distances", "stats"])
@@ -365,6 +380,13 @@ class TestOutputs:
         assert code == 0
         golden = schiaparelli_path.parent / "golden" / "schiaparelli.geojson"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_compile_geojson_escapes_match_fixture(self, tmp_path, capsys):
+        # Quotes, backslashes, tabs, C0 controls, U+2028 and emoji in free text.
+        out = tmp_path / "escapes.geojson"
+        source = str(FIXTURES / "escapes.vita")
+        assert main(["compile", source, "--format", "geojson", "-o", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "escapes.geojson").read_bytes()
 
     def test_zero_buckets_is_usage_error(self, newton_path, capsys):
         assert main(["compile", str(newton_path), "--buckets", "0"]) == 2

@@ -66,6 +66,18 @@ GAZ = load_gazetteer(
 )
 
 
+# Free text as a library caller may pass it, weighted towards what JSON
+# escapes or passes through: quotes, backslashes, C0 controls, U+2028,
+# lone surrogates and non-BMP characters.
+free_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x1f\t\n\x7f\u2028\ud800\udfff\U0001f600'),
+    ),
+    max_size=12,
+)
+
+
 def interval(year: int) -> DateInterval:
     return DateInterval(CalendarDate(year, 1, 1), CalendarDate(year, 12, 31))
 
@@ -289,6 +301,45 @@ class TestEmitGeoJson:
             assert feature["properties"] == properties
             # Written as json.dumps writes them, byte for byte.
             assert line == prefix + json.dumps(properties, ensure_ascii=False)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                free_text,
+                free_text,
+                st.lists(free_text.filter(lambda s: s and not s.startswith("/")), max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_properties_are_json_dumps_for_any_text(self, texts, circa):
+        """Every feature's properties text is ``json.dumps(props,
+        ensure_ascii=False)``, whatever the free text holds: quotes,
+        backslashes, C0 controls, U+2028, lone surrogates, non-BMP."""
+        when = DateInterval(CalendarDate(1, 1, 1), CalendarDate(9999, 12, 31), circa)
+        events = [
+            LifeEvent(f"e{i}", "visit", when, None, GeoPoint(1.0, 2.0), label, note, tuple(paths))
+            for i, (label, note, paths) in enumerate(texts)
+        ]
+        text = emit_geojson(simple_biography(*events), {})
+        prefix = '      "properties": '
+        lines = [line[len(prefix) :] for line in text.split("\n") if line.startswith(prefix)]
+        assert len(lines) == len(events)
+        for e, line in zip(events, lines):
+            properties = {
+                "id": e.id,
+                "label": e.label,
+                "kind": e.kind,
+                "start": "0001-01-01",
+                "end": "9999-12-31",
+                "circa": circa,
+                "note": e.note,
+                "attachments": list(e.attachments),
+            }
+            assert line == json.dumps(properties, ensure_ascii=False)
 
 
 class TestEmitItinerarium:

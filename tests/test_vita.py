@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import calendar
 import re
 import tracemalloc
 from functools import partial
@@ -87,6 +88,76 @@ class TestParseDateExpr:
     def test_malformed(self, expr, needle):
         with pytest.raises(ValueError, match=needle):
             parse_date_expr(expr)
+
+
+_REFERENCE_DATE_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?\Z")
+
+
+def reference_date_range(expr: str):
+    """The date grammar by its regex alone: what ``vita._date_range`` must
+    give, ``date.fromisoformat`` shortcut or not."""
+    if not expr:
+        raise ValueError("empty date expression")
+    m = _REFERENCE_DATE_RE.match(expr)
+    if not m:
+        raise ValueError(f"malformed date expression '{expr}'")
+    circa, year_text, month_text, day_text = m.groups()
+    year = int(year_text)
+    if year < 1:
+        raise ValueError(f"year out of range in '{expr}'")
+    if month_text is None:
+        return CalendarDate(year, 1, 1), CalendarDate(year, 12, 31), circa is not None
+    month = int(month_text)
+    if not 1 <= month <= 12:
+        raise ValueError(f"month out of range in '{expr}'")
+    if day_text is None:
+        last = CalendarDate(year, month, calendar.monthrange(year, month)[1])
+        return CalendarDate(year, month, 1), last, circa is not None
+    try:
+        day = CalendarDate(year, month, int(day_text))
+    except ValueError:
+        raise ValueError(f"day out of range in '{expr}'") from None
+    return day, day, circa is not None
+
+
+def date_outcome(date_range, expr: str):
+    try:
+        return date_range(expr)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Near misses of YYYY-MM-DD: other ISO 8601 forms that some Python versions'
+# date.fromisoformat accept (3.11 added the week and basic forms), dates out
+# of range, non-ASCII digits and a circa prefix.
+DATE_CASES = [
+    "2011-02-03", "2012-02-29", "0001-01-01", "9999-12-31", "1904-1",
+    "2011-W01-2", "2011W012", "2011-W01", "20110203", "2011-02-03T00",
+    "0000-01-01", "2011-02-29", "2011-13-01", "2011-00-10", "2011-01-00", "2011-04-31",
+    "２０１１-02-03", "2011-０2-03", "2011-02-0٣", "2011-02-0\ud800", "+011-02-03",
+    "c.2011-02-03", "c. 2011-02-03", "c.0000-01-01", "2011_02_03", "2011--0203",
+]
+
+
+class TestDateRangeEquivalence:
+    """The ``date.fromisoformat`` path gives what the regex alone gives."""
+
+    @pytest.mark.parametrize("expr", DATE_CASES)
+    def test_listed_cases(self, expr):
+        assert date_outcome(vita._date_range, expr) == date_outcome(reference_date_range, expr)
+
+    @given(
+        st.one_of(
+            st.builds(
+                "{:04d}-{:02d}-{:02d}".format,
+                st.integers(0, 9999), st.integers(0, 99), st.integers(0, 99),
+            ),
+            st.text(st.sampled_from("0123456789-:.WTZc \t+２٣\ud800"), max_size=12),
+            st.text(max_size=12),
+        )
+    )
+    def test_any_text(self, expr):
+        assert date_outcome(vita._date_range, expr) == date_outcome(reference_date_range, expr)
 
 
 class TestParseBiography:
