@@ -4,10 +4,12 @@ One driver, :func:`_run`, runs every subcommand that reads a biography:
 it parses the input, reports validation findings, loads the gazetteer,
 calls the subcommand's formatter ``(args, biography, gazetteer) ->
 records`` and writes the records as they are drawn; ``validate`` stops
-after the parse-and-validate step. A formatter checks, resolves and
-orders before it returns, so every finding and warning is reported
-before the first byte is written, and a run holds the biography and its
-source text plus one record and the write buffer, never a whole
+after the parse-and-validate step. The input and the gazetteer are read
+4 KiB at a time, their lines handed on as they are decoded. A formatter
+checks, resolves and orders before it returns, so every finding and
+warning is reported before the first byte is written. So a run holds
+the biography, the gazetteer's key index, one 4 KiB read, one record
+and the write buffer: never a whole input file, and never a whole
 document (KML, GeoJSON and the matrix; the smaller itinerary and stats
 texts are one record each). The formatters render from the single order-and-resolve stage,
 :func:`vitamap.geo.itinerary_stops`. Each finding arrives located by
@@ -46,10 +48,11 @@ import argparse
 import os
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from codecs import utf_8_decode
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import suppress
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 
 from . import __version__
@@ -64,7 +67,7 @@ from .gazetteer import (
     remote_resolve,
 )
 from .geo import build_itinerary, route_stats
-from .model import Biography, Diagnostic, validate_biography
+from .model import Biography, Diagnostic, line_pieces, validate_biography
 from .vita import VitaParseError, parse_biography
 
 EXIT_OK = 0
@@ -207,22 +210,60 @@ def _run(formatter: Formatter, args: argparse.Namespace) -> None:
     _write_output(records, args.output)
 
 
-def _read_text(path: Path, what: str) -> str:
-    try:
-        data = path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {reason}")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        prefix = data[: exc.start].decode("utf-8")
-        # split_lines's count, without the list: LF, CRLF and a lone CR each end a line.
-        line = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
-        message = f"{what} is not valid UTF-8 ({exc.reason})"
+_READ = 1 << 12  # the bytes read from an input file at a time
+
+
+def _read_lines(path: Path, what: str) -> Iterator[str]:
+    """The lines of a UTF-8 file, as :func:`vitamap.model.split_lines`
+    gives them, read _READ bytes at a time; a leading BOM is dropped. A
+    file that cannot be read or is not UTF-8 fails the run with exit 2,
+    at the line a split of its whole text puts its first bad byte on."""
+    return chain.from_iterable(_read_pieces(path, what))
+
+
+def _read_pieces(path: Path, what: str) -> Iterator[list[str]]:
+    bad: list[str] = []  # the decoder's reason, once it has met a bad byte
+    line = 0  # the lines split so far: in the end, the bad byte's line
+    for piece in line_pieces(_read_texts(path, what, bad)):
+        line += len(piece)
+        yield piece
+    if bad:
+        message = f"{what} is not valid UTF-8 ({bad[0]})"
         raise _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
-    # Tolerate a leading BOM from Windows editors.
-    return text.removeprefix("\ufeff")
+
+
+def _read_texts(path: Path, what: str, bad: list[str]) -> Iterator[str]:
+    """The text of a file, a read at a time. At a bad byte it puts the
+    reason in ``bad`` and stops with the text before that byte."""
+    try:
+        file = open(path, "rb", buffering=0)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise _unreadable(path, what, exc)
+    with file:
+        undecoded = b""  # the start of a sequence that a read cut in two
+        first = True  # no character decoded yet
+        while True:
+            try:
+                read = file.read(_READ)
+            except OSError as exc:
+                raise _unreadable(path, what, exc)
+            data = undecoded + read
+            try:
+                text, used = utf_8_decode(data, "strict", not read)
+            except UnicodeDecodeError as exc:
+                text, used, read = data[: exc.start].decode("utf-8"), exc.start, b""
+                bad.append(exc.reason)
+            undecoded = data[used:]
+            if text and first:  # tolerate a leading BOM from Windows editors
+                text, first = text.removeprefix("\ufeff"), False
+            yield text
+            if not read:
+                return
+
+
+def _unreadable(path: Path, what: str, exc: OSError | ValueError) -> _CliFailure:
+    reason = getattr(exc, "strerror", None) or exc
+    return _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {reason}")
 
 
 def _report(path: Path, diagnostics: list[Diagnostic], strict: bool = False) -> bool:
@@ -241,7 +282,7 @@ def _fail(path: Path, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) ->
 def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
     path = Path(args.input)
     try:
-        biography = parse_biography(_read_text(path, "input"))
+        biography = parse_biography(_read_lines(path, "input"))
     except VitaParseError as exc:
         raise _fail(path, exc.diagnostics)
     if _report(path, validate_biography(biography, base_dir=path.parent), args.strict):
@@ -261,11 +302,10 @@ def _load_gazetteer_for(
         gaz_path = Path("gazetteer.tsv")
         if not gaz_path.exists():
             return {}
-    source = _read_text(gaz_path, "gazetteer")
     # Every row is still checked; entries are built for the places used only.
     used = {e.key for e in biography.events if e.key is not None}
     try:
-        return load_gazetteer(source, used)
+        return load_gazetteer(_read_lines(gaz_path, "gazetteer"), used)
     except GazetteerParseError as exc:
         raise _fail(gaz_path, exc.diagnostics)
 

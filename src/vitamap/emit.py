@@ -371,11 +371,11 @@ def _matrix_rows(quoted: list[str], points: list[GeoPoint]) -> Iterator[str]:
         yield f"{label},{left}0.000{right}\n"
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as a ``csv.writer(lineterminator="\\n")`` row writes one
-    field: quoted, with ``"`` doubled, where that writer quotes it."""
-    import csv
-
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
+def _csv_field(label: str) -> str:
+    """A matrix label as ``csv.writer(lineterminator="\\n")`` writes it as
+    a field. A label, a folded key or "lat,lon", is never empty and holds
+    no whitespace, so that writer quotes it exactly where it holds ``,``
+    or ``"``, and doubles each ``"``."""
+    if "," in label or '"' in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label

@@ -14,7 +14,7 @@ a row to paste in, so compiled outputs stay reproducible offline.
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 
 from .model import (
@@ -73,9 +73,13 @@ class GeocoderError(Exception):
 
 
 def load_gazetteer(
-    source: str, keys: Container[str] | None = None
+    source: str | Iterable[str], keys: Container[str] | None = None
 ) -> dict[str, GazetteerEntry]:
     """Parse gazetteer TSV text into an ordered key -> entry map.
+
+    ``source`` is the text, or its lines as
+    :func:`vitamap.model.split_lines` splits them, drawn one at a time;
+    what drawing a line raises passes through.
 
     Every row is checked, whatever ``keys`` is: GazetteerParseError
     lists every malformed row, looked up or not. In the same scan an
@@ -95,7 +99,8 @@ def load_gazetteer(
     entries: dict[str, GazetteerEntry] = {}
     diags: list[Diagnostic] = []
 
-    for lineno, line in enumerate(iter_lines(source), start=1):
+    lines = iter_lines(source) if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
         try:
             key, display_name, lat_text, lon_text, region = line.split("\t")
             lat, lon = float(lat_text), float(lon_text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from heapq import heappop, heappush
@@ -46,27 +46,47 @@ def fold_key(name: str) -> str:
 
 def split_lines(text: str) -> list[str]:
     """Split text into lines: LF, CRLF and a lone CR each end a line."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:  # else skip the two scans, up to half the cost of a split
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+# Where a line ends within a piece: a LF, a CRLF, or a CR before any other
+# character. A CR that ends the piece may begin a CRLF, so no cut follows it.
+_LINE_END = re.compile(r"\r\n|\n|\r(?=.)", re.DOTALL)
 
 
 def iter_lines(text: str, chunk: int = 1 << 12) -> Iterator[str]:
     """The lines of :func:`split_lines`, split about ``chunk`` characters
-    at a time, so that no list of every line is ever held.
+    at a time, so that no list of every line is ever held."""
+    return chain.from_iterable(line_pieces((text,), chunk))
 
-    Each piece ends just after a LF, which ends a line whatever comes
-    before it, so a CRLF is never cut in two.
+
+def line_pieces(texts: Iterable[str], chunk: int = 1 << 12) -> Iterator[list[str]]:
+    """The lines :func:`split_lines` gives of the joined ``texts``, as
+    lists: each but the last ends at the first line end at least
+    ``chunk`` characters into it, and the last holds the final line.
+
+    A text with no line end is only held until one comes, so a line
+    longer than many texts is joined once.
     """
-    return chain.from_iterable(_line_pieces(text, chunk))
-
-
-def _line_pieces(text: str, chunk: int) -> Iterator[list[str]]:
-    start = 0
-    while cut := text.find("\n", start + chunk - 1) + 1:
-        lines = split_lines(text[start:cut])
-        lines.pop()  # the "" after the cut LF: the next piece starts that line
-        yield lines
-        start = cut
-    yield split_lines(text[start:])
+    search = _LINE_END.search
+    held: list[str] = []  # the text after the last cut
+    for text in texts:
+        held.append(text)
+        # Join only once a line may have ended: at a LF or CR in this text,
+        # or at a CR that ended the text before.
+        if len(held) > 1 and not (held[-2].endswith("\r") or "\n" in text or "\r" in text):
+            continue
+        text = "".join(held)
+        start = 0
+        while found := search(text, start + chunk - 1):
+            lines = split_lines(text[start : found.end()])
+            lines.pop()  # the "" after the cut: the next piece starts that line
+            yield lines
+            start = found.end()
+        held = [text[start:]]
+    yield split_lines("".join(held))
 
 
 # ---------------------------------------------------------------------------

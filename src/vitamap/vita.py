@@ -29,6 +29,7 @@ the rest of the file.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from datetime import date
 
 from .model import (
@@ -119,11 +120,14 @@ def _date_range(expr: str) -> tuple[date, date, bool]:
     return d, d, circa is not None
 
 
-def parse_biography(source: str) -> Biography:
+def parse_biography(source: str | Iterable[str]) -> Biography:
     """Parse VITA text into a Biography.
 
+    ``source`` is the text, or its lines as
+    :func:`vitamap.model.split_lines` splits them, drawn one at a time.
     Raises VitaParseError with every diagnostic found; any text yields
-    either a Biography or at least one diagnostic, never a crash.
+    either a Biography or at least one diagnostic, never a crash. What
+    drawing a line raises passes through.
     """
     diags: list[Diagnostic] = []
     events: list[LifeEvent | None] = []  # None for an event with findings
@@ -149,7 +153,8 @@ def parse_biography(source: str) -> Biography:
 
     # Each non-blank line takes exactly one branch of this chain; only a
     # line that stores nothing is stripped whole.
-    for lineno, line in enumerate(iter_lines(source), start=1):
+    lines = iter_lines(source) if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.partition("#")[0]
         raw_key, eq, rest = line.partition("=")

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from vitamap import cli, emit, gazetteer
 from vitamap.cli import COMMANDS, build_parser, main
 from vitamap.model import GeoPoint, split_lines
-from vitamap.vita import parse_biography
+from vitamap.vita import VitaParseError, parse_biography
 
 from strategies import long_timeline_gazetteer, long_timeline_text
 
@@ -266,6 +266,34 @@ class TestUndecodableFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error {gaz}:2 gazetteer is not valid UTF-8 (")
+
+    # A finding before the bad byte, then more than a read of comments: the
+    # bad byte is decoded after the first read, and only it is reported.
+    PADDING = "# a comment line of some length, padding the file out\r\n" * 100
+
+    def test_bad_byte_after_the_first_read_of_the_input(self, workspace, capsys):
+        path = workspace / "late.vita"
+        prefix = OK_VITA.replace("id = tiny\n", "id = tiny\nunknown = 1\n") + self.PADDING
+        path.write_bytes(prefix.encode("utf-8") + b"note = \xff\n")
+        assert len(prefix) > cli._READ
+        assert main(["compile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = len(split_lines(prefix))
+        assert captured.err == f"error {path}:{line} input is not valid UTF-8 (invalid start byte)\n"
+
+    def test_bad_byte_after_the_first_read_of_the_gazetteer(self, workspace, capsys):
+        gaz = workspace / "gazetteer.tsv"
+        prefix = GAZ + "not a row\n" + self.PADDING + "end\tEnd\t1\t2\t"
+        gaz.write_bytes(prefix.encode("utf-8") + b"\xe4\n")
+        assert len(prefix) > cli._READ
+        assert main(["compile", vita(workspace, "ok")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = len(split_lines(prefix))
+        assert captured.err == (
+            f"error {gaz}:{line} gazetteer is not valid UTF-8 (invalid continuation byte)\n"
+        )
 
 
 class TestAttachments:
@@ -623,23 +651,26 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
     # -S keeps site-wide preloads out, so sys.modules holds only what
     # importing vitamap.cli pulls in. tempfile (with shutil, random, bz2
     # and lzma) is not needed; csv and json are for their output formats
-    # only. Later 3.13 releases import typing from
-    # inspect, which dataclasses imports; so only what vitamap adds after
-    # dataclasses counts.
+    # only, and the matrix quotes its labels without csv. Later 3.13
+    # releases import typing from inspect, which dataclasses imports; so
+    # only what vitamap adds after dataclasses counts.
+    corpus = REPO / "src" / "vitamap" / "corpora" / "newton.vita"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dataclasses; "
         "before = set(sys.modules); import vitamap.cli; "
         "print(sorted({'calendar', 'locale', 'tempfile', 'shutil', 'random', 'bz2', 'lzma',"
-        " 'typing', 'csv', 'json'} & (set(sys.modules) - before)))"
+        " 'typing', 'csv', 'json'} & (set(sys.modules) - before))); "
+        "code = vitamap.cli.main(['distances', sys.argv[2], '--matrix', '-o', 'matrix.csv']); "
+        "print(code, sorted({'csv', 'json'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(REPO / "src")],
+        [sys.executable, "-S", "-c", code, str(REPO / "src"), str(corpus)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n0 []\n"
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
@@ -865,6 +896,106 @@ class TestUndecodableLine:
         assert err.getvalue() == f"error {path}:{line} input is not valid UTF-8 (invalid start byte)\n"
 
 
+# VITA lines and gazetteer rows, good and broken, ASCII and not.
+_STREAMED_LINE = st.sampled_from(
+    [
+        "[biography]", "title = Ünïcode life 𝔘", "id = t", "[event]", "id = e1", "id = e2",
+        "start = 1904", "end = 1800", "place = giza", "place = Café Zoë", "lat = 1.5",
+        "lon = 2.5", "label = ☕ # note", "note = naïve", "kind = job", "novalue", "",
+        "giza\tGiza\t29.9\t31.1\tEgypt", "café-zoë\tCafé Zoë\t1\t2\tÉ",
+        "luxor\tLuxor 𓂀\t25.7\t32.6\t", "giza\tGiza again\t1\t2\t", "# ¿comment?",
+    ]
+)
+_STREAMED_TEXT = st.lists(
+    st.tuples(_STREAMED_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=30
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+def _parse_outcome(source):
+    try:
+        b = parse_biography(source)
+    except VitaParseError as exc:
+        return exc.diagnostics
+    return b, [e.line for e in b.events]
+
+
+def _gazetteer_outcome(source, keys):
+    try:
+        return list(gazetteer.load_gazetteer(source, keys).items())
+    except gazetteer.GazetteerParseError as exc:
+        return exc.diagnostics
+
+
+class TestStreamedReads:
+    """A file read a few bytes at a time gives what its whole text gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _STREAMED_TEXT,
+        st.booleans(),
+        st.integers(1, 40),
+        st.none() | st.sets(st.sampled_from(["giza", "luxor", "café-zoë"])),
+    )
+    def test_same_result_as_the_whole_text(self, property_dir, text, bom, size, keys):
+        path = property_dir / "streamed.txt"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        with mock.patch.object(cli, "_READ", size):
+            streamed = _parse_outcome(cli._read_lines(path, "input"))
+            streamed_gazetteer = _gazetteer_outcome(cli._read_lines(path, "gazetteer"), keys)
+        assert streamed == _parse_outcome(text)
+        assert streamed_gazetteer == _gazetteer_outcome(text, keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _STREAMED_TEXT,
+        st.sampled_from([b"\xff", b"\xf0\x9f\n", b"\xed\xa0\x80", b"\xe4", b"\xc3(\xc3"]),
+        st.integers(1, 40),
+    )
+    def test_bad_byte_located_at_any_read_size(self, property_dir, prefix, bad, size):
+        # The line and the reason a decode of the whole file gives.
+        path = property_dir / "bad.vita"
+        data = prefix.encode("utf-8") + bad
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            data.decode("utf-8")
+        err = io.StringIO()
+        with mock.patch.object(cli, "_READ", size), redirect_stderr(err):
+            assert main(["validate", str(path)]) == 2
+        line = len(split_lines(prefix))
+        reason = excinfo.value.reason
+        assert err.getvalue() == f"error {path}:{line} input is not valid UTF-8 ({reason})\n"
+
+    def test_reads_a_read_at_a_time_as_lines_are_drawn(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.vita"
+        path.write_text(long_timeline_text(300), encoding="utf-8")
+        reads = []
+
+        class Recorded:
+            def __init__(self, file):
+                self.file = file
+
+            def read(self, size):
+                reads.append(size)
+                return self.file.read(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+        def recorded_open(*args, **kwargs):
+            return Recorded(open(*args, **kwargs))
+
+        monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+        lines = cli._read_lines(path, "input")
+        assert reads == []
+        # A piece ends at the first line end a chunk into the text: two reads at most.
+        assert next(lines) == "[biography]" and len(reads) <= 2
+        assert list(lines) == split_lines(path.read_text(encoding="utf-8"))[1:]
+        assert len(reads) > 8 and set(reads) == {cli._READ}
+
+
 class _Spy(io.BytesIO):
     """A binary stream that records the size of each write."""
 
@@ -905,6 +1036,16 @@ class TestWriteUtf8:
 STREAMED = [["compile"], ["compile", "--format", "geojson"], ["distances", "--matrix"]]
 
 
+def _peak(run) -> int:
+    """The tracemalloc peak of one call of ``run``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedWrites:
     """Documents are written as they are formatted, and every check still
     runs before the first byte is written."""
@@ -939,25 +1080,54 @@ class TestStreamedWrites:
             assert target.read_text(encoding="utf-8") == "old"
 
     def test_compile_peaks_at_the_parse(self, tmp_path):
-        # A run holds the biography and its source text, plus one record
-        # and the write buffer: not a copy of the document. The parse's
-        # peak here counts reading the text too, as any run must.
+        # A run holds the biography, the gazetteer's key index, one read of
+        # each input file, one record and the write buffer: not the source
+        # text, and not a copy of the document. The parse's peak here
+        # counts the text it reads and is given, which a run never holds.
         path = tmp_path / "long.vita"
         path.write_text(long_timeline_text(3000), encoding="utf-8")
         gaz = tmp_path / "places.tsv"
         gaz.write_text(long_timeline_gazetteer(), encoding="utf-8")
         out = tmp_path / "long.kml"
-
-        def peak(run) -> int:
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)])  # warm
-        parse_peak = peak(lambda: parse_biography(path.read_text(encoding="utf-8")))
-        run_peak = peak(lambda: main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)]))
+        parse_peak = _peak(lambda: parse_biography(path.read_text(encoding="utf-8")))
+        run_peak = _peak(lambda: main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)]))
         assert out.read_text(encoding="utf-8").count("<Placemark>") == 3000
-        assert run_peak < 1.1 * parse_peak
+        assert run_peak < 0.95 * parse_peak
+
+    def test_stats_peaks_under_its_gazetteer_file(self, tmp_path, capsys):
+        # Every row is checked, but only the rows used become entries, and
+        # the file is read 4 KiB at a time: the key index sets the peak.
+        gaz = tmp_path / "wide.tsv"
+        gaz.write_text(
+            "".join(
+                f"place-{i:05d}\tPlace {i}\t{i % 170 - 85}.123456\t{i % 350 - 175}.654321\tR{i % 7}\n"
+                for i in range(20_000)
+            ),
+            encoding="utf-8",
+        )
+        path = tmp_path / "two.vita"
+        path.write_text(
+            "[biography]\ntitle = Two\nid = two\n\n[event]\nid = a\nstart = 1900\n"
+            "place = place-00001\n\n[event]\nid = b\nstart = 1901\nplace = place-19999\n",
+            encoding="utf-8",
+        )
+        argv = ["stats", str(path), "--gazetteer", str(gaz)]
+        assert main(argv) == 0  # warm
+        capsys.readouterr()
+        peak = _peak(lambda: main(argv))
+        assert "distinct_place_count: 2" in capsys.readouterr().out
+        assert peak < 2.5 * gaz.stat().st_size
+
+    @pytest.mark.parametrize("corpus", ["newton", "schiaparelli"])
+    def test_corpus_matrix_peaks_under_96_kib(self, tmp_path, corpus):
+        # Labels are quoted without a csv.writer, whose row buffer alone
+        # is 128 KiB.
+        path = REPO / "src" / "vitamap" / "corpora" / f"{corpus}.vita"
+        out = tmp_path / "matrix.csv"
+        argv = ["distances", str(path), "--matrix", "-o", str(out)]
+        assert main(argv) == 0  # warm
+        peak = _peak(lambda: main(argv))
+        golden = REPO / "src" / "vitamap" / "corpora" / "golden" / f"{corpus}.matrix.csv"
+        assert out.read_bytes() == golden.read_bytes()
+        assert peak < 96 * 1024

@@ -13,7 +13,7 @@ import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vitamap.cli import main
 from vitamap.emit import (
@@ -21,6 +21,7 @@ from vitamap.emit import (
     DEFAULT_PALETTE,
     EmitConfig,
     KML_NAMESPACE,
+    _csv_field,
     _xml_escape,
     distance_matrix,
     emit_geojson,
@@ -473,6 +474,27 @@ class TestDistanceMatrix:
             '"o""brien,-jr",0.000,314.403\n'
             '"3.000000,4.000000",314.403,0.000\n'
         )
+
+    @staticmethod
+    def writer_field(text: str) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text])
+        return buffer.getvalue()[:-1]
+
+    @given(st.text(st.characters() | st.sampled_from(',"'), min_size=1))
+    def test_label_quoting_is_the_csv_writers(self, label):
+        # A label is a folded key, which holds no whitespace, or "lat,lon".
+        assume(not any(c.isspace() for c in label))
+        try:
+            expected = self.writer_field(label)
+        except csv.Error:  # text the writer refuses
+            assume(False)
+        assert _csv_field(label) == expected
+
+    @given(geo_points)
+    def test_point_label_quoting_is_the_csv_writers(self, point):
+        label = f"{point.lat:.6f},{point.lon:.6f}"
+        assert _csv_field(label) == self.writer_field(label) == f'"{label}"'
 
 
 RECORDS = [(kml_records, emit_kml), (geojson_records, emit_geojson), (matrix_records, distance_matrix)]

@@ -27,6 +27,7 @@ from vitamap.model import (
     from_day_number,
     is_token,
     iter_lines,
+    line_pieces,
     split_lines,
     to_day_number,
     validate_biography,
@@ -166,7 +167,9 @@ class TestIterLines:
             ("ab\r\ncd\r\n", 3),  # the first cut would fall inside a CRLF
             ("ab\rcd\n\ref", 3),  # a lone CR where a cut would fall
             ("ab\n\rcd", 3),  # a lone CR just after a cut
-            ("a\rb\rc", 1),  # no LF at all: one piece
+            ("a\rb\rc", 1),  # no LF at all
+            ("ab\rcd\ref", 3),  # a cut after each lone CR
+            ("ab\r", 3),  # a CR that ends the text
             ("abc\n", 4),  # exactly one chunk long
             ("abc\r", 4),
             ("abcd", 4),
@@ -196,6 +199,36 @@ class TestIterLines:
         assert sizes == []  # nothing is split until a line is drawn
         assert next(lines) == "0123456789" and sizes == [33]
         assert len(list(lines)) == 100 and max(sizes) == 33 and sum(sizes) == len(text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_any_line_end_cuts_pieces(self, end):
+        # A lone CR is a cut too, unless it ends a piece: a LF may follow it.
+        text = f"0123456789{end}" * 100
+        sizes = [len(end.join(piece)) for piece in line_pieces((text,), 32)]
+        assert len(sizes) > 20 and max(sizes) <= 32 + 11
+
+
+class TestLinePieces:
+    """line_pieces yields the lines of its texts joined, wherever they are cut."""
+
+    @given(LINE_ENDS_TEXT, st.lists(st.integers(0, 40)), st.integers(1, 17))
+    def test_same_lines_as_one_split(self, text, cuts, chunk):
+        cuts = sorted(min(cut, len(text)) for cut in cuts)
+        texts = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        pieces = list(line_pieces(texts, chunk))
+        assert [line for piece in pieces for line in piece] == split_lines(text)
+
+    def test_a_line_across_many_texts_is_split_once(self, monkeypatch):
+        sizes = []
+
+        def spy(text):
+            sizes.append(len(text))
+            return split_lines(text)
+
+        monkeypatch.setattr(model, "split_lines", spy)
+        pieces = list(line_pieces(["x" * 10] * 1000 + ["\r", "abc"], 4))
+        assert pieces == [["x" * 10_000], ["abc"]]
+        assert sizes == [10_001, 3]
 
 
 class TestCalendar:

@@ -630,6 +630,25 @@ class TestParseMemory:
         assert last.message == "malformed date expression 'x1998-03'"
         assert peak <= 4.5 * len(text)
 
+    def test_lone_cr_text_peaks_as_its_lf_twin(self):
+        # A lone CR cuts the text into pieces as a LF does, so the parse
+        # never holds a list of every line.
+        text = long_timeline_text(3000)
+        cr_text = text.replace("\n", "\r")
+
+        def peak(source: str) -> tuple[object, int]:
+            tracemalloc.start()
+            try:
+                return parse_biography(source), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parse_biography(cr_text)  # warm
+        lf_biography, lf_peak = peak(text)
+        cr_biography, cr_peak = peak(cr_text)
+        assert cr_biography == lf_biography
+        assert cr_peak <= 1.05 * lf_peak
+
     def test_no_events_finding_is_on_the_last_line(self):
         for source, line in [("[biography]\ntitle = T\nid = t", 3), ("[biography]\r\n\r\n", 3)]:
             assert [(d.line, d.message) for d in diagnostics_of(source)][-1] == (
