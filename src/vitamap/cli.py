@@ -6,16 +6,16 @@ calls the subcommand's formatter ``(args, biography, gazetteer) ->
 records`` and writes the records as they are drawn; ``validate`` stops
 after the parse-and-validate step. The input and the gazetteer are read
 4 KiB at a time, their lines handed on as they are decoded. A formatter
-checks, resolves and orders before it returns, so every finding and
-warning is reported before the first byte is written. So a run holds
-the biography, the gazetteer's key index, one 4 KiB read, one record
-and the write buffer: never a whole input file, and never a whole
-document (KML, GeoJSON and the matrix; the smaller itinerary and stats
-texts are one record each). The formatters render from the single order-and-resolve stage,
-:func:`vitamap.geo.itinerary_stops`. Each finding arrives located by
-the code that found it (parser, gazetteer loader, validator or place
-resolution); :func:`_report` only renders it. A warning about the whole
-route, such as a box across the antimeridian, points at the first event.
+resolves and orders, by :func:`vitamap.geo.itinerary_stops`, before it
+returns, so every finding and warning is reported before the first byte
+is written. So a run validates and resolves once, and holds the
+biography, the gazetteer's key index, one 4 KiB read, one record and
+the write buffer: never a whole input file, and never a whole document
+(KML, GeoJSON and the matrix; the smaller itinerary and stats texts are
+one record each). Each finding arrives located by the code that found
+it (parser, gazetteer loader, validator or place resolution);
+:func:`_report` only renders it. A warning about the whole route, such
+as a box across the antimeridian, points at the first event.
 
 Exit codes follow one discipline across all subcommands: 0 success,
 1 domain failure (validation or place resolution), 2 usage or I/O
@@ -66,7 +66,7 @@ from .gazetteer import (
     load_gazetteer,
     remote_resolve,
 )
-from .geo import build_itinerary, route_stats
+from .geo import build_itinerary, itinerary_stops, route_stats
 from .model import Biography, Diagnostic, line_pieces, validate_biography
 from .vita import VitaParseError, parse_biography
 
@@ -75,8 +75,8 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 Gazetteer = dict[str, GazetteerEntry]
-# A formatter checks, resolves and orders, then returns the records to write
-# (a str is one record); drawing them raises nothing and warns of nothing.
+# A formatter resolves and orders, then returns the records to write (a str
+# is one record); drawing them only formats, and raises and warns of nothing.
 Formatter = Callable[[argparse.Namespace, Biography, Gazetteer], Iterable[str]]
 
 
@@ -88,7 +88,10 @@ class _CliFailure(Exception):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # as type=int words it; argparse would name this function
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
@@ -378,9 +381,10 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
 def _compile(
     args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer
 ) -> Iterable[str]:
+    stops = itinerary_stops(biography, gazetteer)
     if args.format == "geojson":
-        return geojson_records(biography, gazetteer)
-    return kml_records(biography, gazetteer, EmitConfig(bucket_count=args.buckets))
+        return geojson_records(stops)
+    return kml_records(biography.title, stops, EmitConfig(bucket_count=args.buckets))
 
 
 def _itinerarium(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
@@ -391,7 +395,7 @@ def _distances(
     args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer
 ) -> Iterable[str]:
     if args.matrix:
-        return matrix_records(biography, gazetteer)
+        return matrix_records(itinerary_stops(biography, gazetteer))
     return _itinerarium(args, biography, gazetteer)
 
 

@@ -13,16 +13,16 @@ once.
 All emitters are pure text producers: identical inputs give
 byte-identical output. The KML, GeoJSON and matrix documents also come
 as records, from :func:`kml_records`, :func:`geojson_records` and
-:func:`matrix_records`. Each of these checks, resolves and orders
-before it returns, then yields one string per record (a placemark, a
-feature, a row), each ending its line, so a caller can write the
+:func:`matrix_records`. These take the resolved stops and only format
+them: they check nothing, and yield one string per record (a placemark,
+a feature, a row), each ending its line, so a caller can write the
 document as it is formatted; the matrix also holds the cells left of
 the diagonal that it has not yet written, at most about a quarter of
 its cells, as ASCII text. :func:`emit_kml`, :func:`emit_geojson` and
-:func:`distance_matrix` join those records once, so each peaks near
-twice its own size. Coordinates are written
-with 6 decimal places (about 0.11 m, beyond source accuracy, and
-diff-stable) and distances with 3, rounded half-even. Nothing here
+:func:`distance_matrix` check and resolve first, then join those
+records once, so each peaks near twice its own size. Coordinates are
+written with 6 decimal places (about 0.11 m, beyond source accuracy,
+and diff-stable) and distances with 3, rounded half-even. Nothing here
 touches the filesystem.
 """
 
@@ -155,21 +155,17 @@ def emit_kml(
     placemark name. Raises InvalidBiographyError or UnknownPlace
     instead of emitting partial output.
     """
-    return "".join(kml_records(biography, gazetteer, config))
+    return "".join(kml_records(biography.title, _checked_stops(biography, gazetteer), config))
 
 
 def kml_records(
-    biography: Biography,
-    gazetteer: dict[str, GazetteerEntry],
-    config: EmitConfig | None = None,
+    title: str, stops: list[tuple[LifeEvent, GeoPoint]], config: EmitConfig | None = None
 ) -> Iterator[str]:
-    """The records of :func:`emit_kml`'s document, each ending its line:
-    the head, each style, each placemark, the tail. It validates,
-    resolves, orders and buckets before it returns, so it raises what
-    ``emit_kml`` raises and nothing is raised while the records are drawn.
-    """
+    """The records of :func:`emit_kml`'s document titled ``title``, from
+    the resolved ``stops`` of :func:`vitamap.geo.itinerary_stops`, each
+    ending its line: the head, each style, each placemark, the tail. It
+    checks nothing."""
     config = config or EmitConfig()
-    stops = _checked_stops(biography, gazetteer)
     # Itinerary order sorts by start day: the first and last stops bound the starts.
     t0 = to_day_number(stops[0][0].when.start)
     t1 = to_day_number(stops[-1][0].when.start)
@@ -177,12 +173,6 @@ def kml_records(
         _bucket(to_day_number(event.when.start), t0, t1, config.bucket_count)
         for event, _ in stops
     ]
-    return _kml_records(biography.title, stops, buckets, config)
-
-
-def _kml_records(
-    title: str, stops: list[tuple[LifeEvent, GeoPoint]], buckets: list[int], config: EmitConfig
-) -> Iterator[str]:
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<kml xmlns="{KML_NAMESPACE}">\n'
@@ -223,19 +213,13 @@ def emit_geojson(biography: Biography, gazetteer: dict[str, GazetteerEntry]) -> 
     [lon, lat] with 6 decimals, properties in fixed key order
     (id, label, kind, start, end, circa, note, attachments).
     """
-    return "".join(geojson_records(biography, gazetteer))
+    return "".join(geojson_records(_checked_stops(biography, gazetteer)))
 
 
-def geojson_records(
-    biography: Biography, gazetteer: dict[str, GazetteerEntry]
-) -> Iterator[str]:
-    """The records of :func:`emit_geojson`'s document, each ending its
-    line: the head, each feature, the tail. It validates, resolves and
-    orders before it returns, as :func:`kml_records` does."""
-    return _geojson_records(_checked_stops(biography, gazetteer))
-
-
-def _geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
+def geojson_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
+    """The records of :func:`emit_geojson`'s document, from the resolved
+    ``stops`` of :func:`vitamap.geo.itinerary_stops`, each ending its
+    line: the head, each feature, the tail. It checks nothing."""
     # The string encoder of json.dumps(..., ensure_ascii=False), imported
     # here: only GeoJSON needs it, not every start-up.
     from json.encoder import encode_basestring as quote
@@ -335,27 +319,23 @@ def distance_matrix(
     the start of each row. The cells never need quoting. Raises
     InvalidBiographyError or UnknownPlace, as :func:`emit_kml` does.
     """
-    return "".join(matrix_records(biography, gazetteer))
+    return "".join(matrix_records(_checked_stops(biography, gazetteer)))
 
 
-def matrix_records(
-    biography: Biography, gazetteer: dict[str, GazetteerEntry]
-) -> Iterator[str]:
-    """The rows of :func:`distance_matrix`, header first, each ending its
-    line. It validates, resolves, orders and labels the places before it
-    returns, as :func:`kml_records` does; each row's cells right of the
-    diagonal are computed and formatted as it is drawn."""
+def matrix_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
+    """The rows of :func:`distance_matrix`, from the resolved ``stops`` of
+    :func:`vitamap.geo.itinerary_stops`, header first, each ending its
+    line. It checks nothing; the places are labeled before the first row,
+    and each row's cells right of the diagonal are computed and formatted
+    as it is drawn."""
     places: dict[str | tuple[float, float], GeoPoint] = {}  # identity -> first point
-    for event, point in _checked_stops(biography, gazetteer):
+    for event, point in stops:
         places.setdefault(place_identity(event, point), point)
     quoted = [
         _csv_field(identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}")
         for identity, point in places.items()
     ]
-    return _matrix_rows(quoted, list(places.values()))
-
-
-def _matrix_rows(quoted: list[str], points: list[GeoPoint]) -> Iterator[str]:
+    points = list(places.values())
     yield ",".join(["place", *quoted]) + "\n"
     # columns[0] holds the next row's cells left of the diagonal, each with
     # its comma, as the rows above formatted them: one byte a character.

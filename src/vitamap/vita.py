@@ -138,7 +138,6 @@ def parse_biography(source: str | Iterable[str]) -> Biography:
     attachments: list[_Pair] = []  # the open [event] block's attach values
     block: str | None = None  # a key of _KEYS
     keys = _KEYS[block]  # set at each header
-    saw_event_block = False
     header_missing_reported = False
     # Within this parse, events share equal values: one string per place
     # text, one GeoPoint per (lat text, lon text).
@@ -174,7 +173,6 @@ def parse_biography(source: str | Iterable[str]) -> Biography:
             if block == "event":
                 if not bio_line:
                     report_missing_header()
-                saw_event_block = True
                 event_line, pairs, attachments = lineno, {}, []
             elif block == "biography" and not bio_line:
                 bio_line, pairs = lineno, bio_pairs
@@ -209,7 +207,7 @@ def parse_biography(source: str | Iterable[str]) -> Biography:
         raise VitaParseError(diags)
 
     _check_biography(bio_line, bio_pairs, diags)
-    if not saw_event_block:  # located at the last line, which the loop left in lineno
+    if not events:  # located at the last line, which the loop left in lineno
         diags.append(ParseDiagnostic(lineno, 1, "biography has no events"))
     if diags:
         raise VitaParseError(diags)

@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vitamap import cli, emit, gazetteer
+from vitamap import cli, emit, gazetteer, model
 from vitamap.cli import COMMANDS, build_parser, main
 from vitamap.model import GeoPoint, split_lines
 from vitamap.vita import VitaParseError, parse_biography
@@ -419,6 +419,11 @@ class TestOutputs:
     def test_zero_buckets_is_usage_error(self, newton_path, capsys):
         assert main(["compile", str(newton_path), "--buckets", "0"]) == 2
         assert "argument --buckets: must be at least 1" in capsys.readouterr().err
+        # Worded as type=int words it, not after the function that checks it.
+        assert main(["compile", str(newton_path), "--buckets", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --buckets: invalid int value: 'abc'" in err
+        assert "_positive_int" not in err
 
     def test_one_bucket_styles_every_placemark_alike(self, newton_path, capsys):
         assert main(["compile", str(newton_path), "--buckets", "1"]) == 0
@@ -1061,13 +1066,28 @@ class TestStreamedWrites:
         assert main([command[0], vita(workspace, name), *command[1:], "-o", str(target)]) == 1
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("command", STREAMED, ids=["kml", "geojson", "matrix"])
+    def test_duplicate_id_pass_runs_once(self, workspace, monkeypatch, capsys, command):
+        # The run validates once; the records it writes only format.
+        calls = []
+
+        def counted(biography):
+            calls.append(biography)
+            return checked_events(biography)
+
+        checked_events = model._checked_events
+        monkeypatch.setattr(model, "_checked_events", counted)
+        assert main([command[0], vita(workspace, "ok"), *command[1:]]) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_exception_mid_stream_leaves_no_file(self, workspace, monkeypatch, existing):
         def failing(*args):
             yield "<?xml" + " " * 50_000  # a few slices reach the temporary file first
             raise RuntimeError("formatter failed")
 
-        monkeypatch.setattr(emit, "_kml_records", failing)
+        monkeypatch.setattr(cli, "kml_records", failing)
         out_dir = workspace / "outs"
         out_dir.mkdir()
         target = out_dir / "doc.kml"

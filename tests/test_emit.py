@@ -497,28 +497,36 @@ class TestDistanceMatrix:
         assert _csv_field(label) == self.writer_field(label) == f'"{label}"'
 
 
-RECORDS = [(kml_records, emit_kml), (geojson_records, emit_geojson), (matrix_records, distance_matrix)]
+RECORDS = [
+    (lambda b, stops: kml_records(b.title, stops), emit_kml),
+    (lambda b, stops: geojson_records(stops), emit_geojson),
+    (lambda b, stops: matrix_records(stops), distance_matrix),
+]
 
 
 @pytest.mark.parametrize("records,emitter", RECORDS, ids=["kml", "geojson", "matrix"])
 class TestRecords:
-    """Each streamed document checks, resolves and orders before its first
-    record; drawing the records then raises and warns of nothing."""
+    """Each streamed document only formats the resolved stops; its join
+    checks, resolves and orders before it formats, and raises instead of
+    returning part of a document."""
 
     def test_records_end_their_lines_and_join_to_the_document(self, records, emitter):
         b = generated_biography(50)
-        drawn = list(records(b, GAZ))
+        drawn = list(records(b, itinerary_stops(b, GAZ)))
         assert len(drawn) > 3 and all(r.endswith("\n") for r in drawn)
         assert "".join(drawn) == emitter(b, GAZ)
 
     def test_unknown_place_raises_before_any_record(self, records, emitter):
         b = simple_biography(NEFERTARI, day_event("lost", 1905, 1, 1, place_key="atlantis"))
         with pytest.raises(UnknownPlace, match="atlantis"):
-            records(b, GAZ)
+            emitter(b, GAZ)
 
     def test_duplicate_event_id_raises_before_any_record(self, records, emitter):
+        b = simple_biography(NEFERTARI, NEFERTARI)
         with pytest.raises(InvalidBiographyError, match="duplicate event id 'nefertari-tomb'"):
-            records(simple_biography(NEFERTARI, NEFERTARI), GAZ)
+            emitter(b, GAZ)
+        # The records check nothing: the checks are the caller's.
+        assert all(r.endswith("\n") for r in records(b, itinerary_stops(b, GAZ)))
 
     def test_drawing_records_neither_raises_nor_warns(self, records, emitter):
         # A route across the antimeridian: stats warns about its box; no document does.
@@ -527,7 +535,7 @@ class TestRecords:
             day_event("east", 1901, 1, 1, place_key=None, point=GeoPoint(-10.0, 170.0)),
             *generated_biography(30).events,
         )
-        stream = records(b, GAZ)
+        stream = records(b, itinerary_stops(b, GAZ))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert "".join(stream) == emitter(b, GAZ)
@@ -694,7 +702,7 @@ class TestComplexityGuards:
         b = spread_biography(MATRIX_PLACES)
         tracemalloc.start()
         try:
-            size = sum(map(len, matrix_records(b, GAZ)))
+            size = sum(map(len, matrix_records(itinerary_stops(b, GAZ))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
