@@ -22,13 +22,13 @@ its cells, as ASCII text. :func:`emit_kml`, :func:`emit_geojson` and
 :func:`distance_matrix` check and resolve first, then join those
 records once, so each peaks near twice its own size. Coordinates are
 written with 6 decimal places (about 0.11 m, beyond source accuracy,
-and diff-stable) and distances with 3, rounded half-even. Nothing here
-touches the filesystem.
+and diff-stable) and distances with 3, rounded half-even. Both CSVs
+quote a field by one rule, :func:`_csv_field`'s, so each Python gives
+the same bytes. Nothing here touches the filesystem.
 """
 
 from __future__ import annotations
 
-import io
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -256,9 +256,9 @@ def emit_itinerarium(
 
     The text table lists one stop per line under the header
     ``# START END PLACE LAT LON LEG_KM CUM_KM``. The CSV variant adds
-    the place key column and quotes per RFC 4180. Distances have 3
-    decimals, half-even. Each leg carries its event, so ``biography``
-    is unread; it stays for existing callers.
+    the place key column and quotes its cells by :func:`_csv_field`.
+    Distances have 3 decimals, half-even. Each leg carries its event,
+    so ``biography`` is unread; it stays for existing callers.
     """
     if fmt not in ("text", "csv"):
         raise ValueError(f"unknown itinerarium format: {fmt!r}")
@@ -281,13 +281,12 @@ def emit_itinerarium(
     )
 
     if fmt == "csv":
-        import csv  # imported here: only the CSV paths need it
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(ITINERARY_CSV_HEADER)
-        writer.writerows(rows)  # one pass: no row outlives its line
-        return buffer.getvalue()
+        # Only the key (3) and label (4) cells can need quoting; each row's
+        # line is made as its tuple is, so no tuple outlives its line.
+        lines = [",".join(ITINERARY_CSV_HEADER)]
+        lines += (",".join((*r[:3], _csv_field(r[3]), _csv_field(r[4]), *r[5:])) for r in rows)
+        lines.append("")  # ends the text with "\n" inside the join
+        return "\n".join(lines)
 
     # The text table skips the key cell (3): its PLACE column shows the label.
     table: list = [("#", "START", "END", "", "PLACE", "LAT", "LON", "LEG_KM", "CUM_KM"), *rows]
@@ -315,8 +314,8 @@ def distance_matrix(
     from that text. So the diagonal is 0.000 and the matrix is exactly
     symmetric.
 
-    Labels are quoted as csv.writer quotes them, in the header and at
-    the start of each row. The cells never need quoting. Raises
+    Labels are quoted by :func:`_csv_field`, in the header and at the
+    start of each row. The cells never need quoting. Raises
     InvalidBiographyError or UnknownPlace, as :func:`emit_kml` does.
     """
     return "".join(matrix_records(_checked_stops(biography, gazetteer)))
@@ -351,11 +350,10 @@ def matrix_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
         yield f"{label},{left}0.000{right}\n"
 
 
-def _csv_field(label: str) -> str:
-    """A matrix label as ``csv.writer(lineterminator="\\n")`` writes it as
-    a field. A label, a folded key or "lat,lon", is never empty and holds
-    no whitespace, so that writer quotes it exactly where it holds ``,``
-    or ``"``, and doubles each ``"``."""
-    if "," in label or '"' in label:
-        return '"' + label.replace('"', '""') + '"'
-    return label
+def _csv_field(text: str) -> str:
+    """``text`` as one field of an RFC 4180 row: quoted exactly where it
+    holds ``,``, ``"``, CR or LF, with each ``"`` doubled, and otherwise
+    as it is, whatever other code points it holds."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text

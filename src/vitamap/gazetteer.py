@@ -236,7 +236,8 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
     lat, lon = payload["lat"], payload["lon"]
     if not isinstance(key, str) or not is_token(key) or key.endswith("-"):
         raise GeocoderError("malformed geocoder response: bad key")
-    if not isinstance(display_name, str) or not display_name:
+    # A tab, CR or LF would split the row that gazetteer_row prints.
+    if not isinstance(display_name, str) or not display_name or set("\t\r\n") & set(display_name):
         raise GeocoderError("malformed geocoder response: bad display_name")
     for value in (lat, lon):
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -48,6 +48,12 @@ class _GeocoderHandler(BaseHTTPRequestHandler):
         elif route == "/echo":
             key = name.lower().replace(" ", "-") or "empty"
             self._reply(200, {"key": key, "display_name": name, "lat": 1.5, "lon": 2.5})
+        elif route == "/named":  # the query as the display name of a fixed key
+            self._reply(200, {"key": "x", "display_name": name, "lat": 1.5, "lon": 2.5})
+        elif route == "/string-lat":
+            self._reply(200, {"key": "x", "display_name": "X", "lat": "1.0", "lon": 1.0})
+        elif route == "/far-lat":
+            self._reply(200, {"key": "x", "display_name": "X", "lat": 91.0, "lon": 1.0})
         elif route == "/notfound":
             self.send_response(404)
             self.end_headers()

@@ -416,6 +416,31 @@ class TestOutputs:
         assert main(["compile", source, "--format", "geojson", "-o", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / "escapes.geojson").read_bytes()
 
+    def test_itinerary_csv_escapes_match_fixture(self, tmp_path, capsys):
+        # Labels with quotes, commas, tabs and C0 controls.
+        out = tmp_path / "escapes.csv"
+        source = str(FIXTURES / "escapes.vita")
+        assert main(["itinerary", source, "--format", "csv", "-o", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "escapes.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["itinerary", "distances"])
+    def test_csv_with_a_nul_byte_label(self, tmp_path, capsysbinary, command):
+        # A NUL needs no quoting; the csv module's writer refused it before 3.11.
+        path = tmp_path / "nul.vita"
+        path.write_text(
+            "[biography]\ntitle = Nul\nid = nul\n\n"
+            '[event]\nid = a\nkind = visit\nstart = 1900\nplace = Zero\x00Point, "x"\n'
+            "lat = 1\nlon = 2\nlabel = nul\x00byte\n\n"
+            "[event]\nid = b\nkind = visit\nstart = 1901\nlat = 3\nlon = 4\n",
+            encoding="utf-8",
+        )
+        assert main([command, str(path), "--format", "csv"]) == 0
+        assert capsysbinary.readouterr().out == (
+            b"index,start,end,place,label,lat,lon,leg_km,cum_km\n"
+            b'0,1900-01-01,1900-12-31,"zero\x00point,-""x""",nul\x00byte,1.000000,2.000000,0.000,0.000\n'
+            b"1,1901-01-01,1901-12-31,,b,3.000000,4.000000,314.403,314.403\n"
+        )
+
     def test_zero_buckets_is_usage_error(self, newton_path, capsys):
         assert main(["compile", str(newton_path), "--buckets", "0"]) == 2
         assert "argument --buckets: must be at least 1" in capsys.readouterr().err
@@ -437,6 +462,17 @@ class TestOutputs:
         assert main(["compile", vita(workspace, "ok"), "-o", str(out_dir / "a.kml")]) == 0
         assert main(["compile", vita(workspace, "unknown"), "-o", str(out_dir / "b.kml")]) == 1
         assert sorted(p.name for p in out_dir.iterdir()) == ["a.kml"]
+
+    def test_taken_temporary_name_is_left_as_it_was(self, workspace, newton_path):
+        # Another run's temporary file, or a killed run's: the next name is used.
+        taken = workspace / ".out.kml.0.tmp"
+        taken.write_text("another run's", encoding="utf-8")
+        out = workspace / "out.kml"
+        assert main(["compile", str(newton_path), "-o", str(out)]) == 0
+        golden = newton_path.parent / "golden" / "newton.kml"
+        assert out.read_bytes() == golden.read_bytes()
+        assert taken.read_text(encoding="utf-8") == "another run's"
+        assert not (workspace / ".out.kml.1.tmp").exists()
 
     def test_itinerary_csv_has_nine_columns(self, workspace, capsys):
         assert main(["itinerary", vita(workspace, "ok"), "--format", "csv"]) == 0
@@ -655,10 +691,10 @@ def test_cli_import_skips_urllib_request(tmp_path):
 def test_cli_import_skips_calendar_and_locale(tmp_path):
     # -S keeps site-wide preloads out, so sys.modules holds only what
     # importing vitamap.cli pulls in. tempfile (with shutil, random, bz2
-    # and lzma) is not needed; csv and json are for their output formats
-    # only, and the matrix quotes its labels without csv. Later 3.13
-    # releases import typing from inspect, which dataclasses imports; so
-    # only what vitamap adds after dataclasses counts.
+    # and lzma) is not needed; json is for GeoJSON only, and no CSV is
+    # written through csv. Later 3.13 releases import typing from
+    # inspect, which dataclasses imports; so only what vitamap adds after
+    # dataclasses counts.
     corpus = REPO / "src" / "vitamap" / "corpora" / "newton.vita"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dataclasses; "
@@ -666,6 +702,7 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
         "print(sorted({'calendar', 'locale', 'tempfile', 'shutil', 'random', 'bz2', 'lzma',"
         " 'typing', 'csv', 'json'} & (set(sys.modules) - before))); "
         "code = vitamap.cli.main(['distances', sys.argv[2], '--matrix', '-o', 'matrix.csv']); "
+        "code += vitamap.cli.main(['itinerary', sys.argv[2], '--format', 'csv', '-o', 'i.csv']); "
         "print(code, sorted({'csv', 'json'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
@@ -801,8 +838,8 @@ _VITA_LINES = [
     "[biography]", "[event]", "[places]", "title = Tiny", "id = tiny", "gazetteer = other.tsv",
     "id = B", "start = 1890-02-29", "start = 19x0", "place = ---", "lat = 95", "lon = nan",
     "kind = residence", "kind = visit", "kind = born", "end = 1930", "end = 1899",
-    "label = Home", "note = a < b & c", "attach = scans/x.jpg", "attach = /abs",
-    "colour = red", "no equals sign", "= value", "# comment", "",
+    "label = Home", 'label = "Rome", the city', "note = a < b & c", "attach = scans/x.jpg",
+    "attach = /abs", "colour = red", "no equals sign", "= value", "# comment", "",
     "[event]\nid = e0\nstart = 1950\nplace = home",
 ]
 _inserted_lines = st.one_of(
@@ -860,6 +897,35 @@ def check_kml_placemarks(text: str) -> None:
         assert date.fromisoformat(begin) <= date.fromisoformat(end)
 
 
+def check_csv_rows(text: str, matrix: bool) -> None:
+    """One field count per row: 9 for the itinerary, and a square,
+    symmetric matrix whose row labels are its header's."""
+    if sys.version_info < (3, 11) and "\x00" in text:
+        return  # that reader refuses a NUL
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not matrix:
+        assert {len(row) for row in rows} == {9}
+        return
+    assert {len(row) for row in rows} == {len(rows)}
+    assert [row[0] for row in rows[1:]] == rows[0][1:]
+    cells = [row[1:] for row in rows[1:]]
+    assert cells == [list(column) for column in zip(*cells)]
+
+
+# Every command that writes, in each of its formats.
+_ANY_INPUT_COMMANDS = [
+    ["validate"],
+    ["compile"],
+    ["compile", "--format", "geojson"],
+    ["stats"],
+    ["itinerary"],
+    ["itinerary", "--format", "csv"],
+    ["distances"],
+    ["distances", "--format", "csv"],
+    ["distances", "--matrix"],
+]
+
+
 class TestAnyInput:
     @settings(max_examples=150, deadline=None)
     @given(data=_vita_files())
@@ -868,7 +934,7 @@ class TestAnyInput:
         path.write_bytes(data)
         located = re.compile(rf"(error|warning) {re.escape(str(path))}:\d+ .+")
         gaz = ["--gazetteer", str(property_dir / "gazetteer.tsv")]
-        for command in (["validate"], ["compile"], ["compile", "--format", "geojson"], ["stats"]):
+        for command in _ANY_INPUT_COMMANDS:
             err, out = io.StringIO(), io.StringIO()
             # A run outside the test harness prints any Python warning to
             # stderr, unlocated; here it is recorded instead.
@@ -881,6 +947,8 @@ class TestAnyInput:
                 check_kml_placemarks(out.getvalue())
             elif code == 0 and command[0] == "compile":
                 check_rfc7946(out.getvalue())
+            elif code == 0 and command[-1] in ("csv", "--matrix"):
+                check_csv_rows(out.getvalue(), command[-1] == "--matrix")
             assert [str(w.message) for w in caught] == []
             lines = err.getvalue().split("\n")
             assert lines.pop() == ""
@@ -999,6 +1067,16 @@ class TestStreamedReads:
         assert next(lines) == "[biography]" and len(reads) <= 2
         assert list(lines) == split_lines(path.read_text(encoding="utf-8"))[1:]
         assert len(reads) > 8 and set(reads) == {cli._READ}
+
+    def test_read_that_fails_after_the_open_is_usage_error(self, workspace, monkeypatch, capsys):
+        class Failing(io.RawIOBase):
+            def read(self, size):
+                raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Failing(), raising=False)
+        path = vita(workspace, "ok")
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"cannot read input '{path}': Input/output error\n"
 
 
 class _Spy(io.BytesIO):

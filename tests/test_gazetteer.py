@@ -419,6 +419,27 @@ class TestRemoteResolve:
         with pytest.raises(GeocoderError, match="malformed geocoder response"):
             remote_resolve("X", f"{geocoder_stub}/extra-field")
 
+    @pytest.mark.parametrize("name", ["Assiut\tEgypt", "Assiut\rEgypt", "Assiut\nEgypt"])
+    def test_display_name_that_splits_a_row_refused(self, geocoder_stub, name):
+        # gazetteer_row would print a row that load_gazetteer refuses.
+        with pytest.raises(GeocoderError, match="^malformed geocoder response: bad display_name$"):
+            remote_resolve(name, f"{geocoder_stub}/named")
+
+    def test_suggested_row_loads(self, geocoder_stub):
+        entry = remote_resolve("Assiut, Egypt \x0b", f"{geocoder_stub}/named")
+        assert load_gazetteer(gazetteer_row(entry)) == {"x": entry}
+
+    @pytest.mark.parametrize(
+        "route,message",
+        [
+            ("string-lat", "lat/lon must be numbers"),
+            ("far-lat", "latitude out of range: 91.0"),
+        ],
+    )
+    def test_bad_numbers(self, geocoder_stub, route, message):
+        with pytest.raises(GeocoderError, match=f"^malformed geocoder response: {message}$"):
+            remote_resolve("X", f"{geocoder_stub}/{route}")
+
     def test_non_json_body(self, geocoder_stub):
         with pytest.raises(GeocoderError, match="not a JSON object"):
             remote_resolve("X", f"{geocoder_stub}/not-json")

@@ -296,6 +296,15 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             bounding_box([])
 
+    def test_direct_construction_guards(self):
+        # bounding_box never builds a box that fails them; a caller can.
+        with pytest.raises(ValueError, match="^min_lat exceeds max_lat$"):
+            BoundingBox(1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^min_lon out of range: -180\.0$"):
+            BoundingBox(0.0, 0.0, -180.0, 0.0)
+        with pytest.raises(ValueError, match=r"^max_lon out of range: 181\.0$"):
+            BoundingBox(0.0, 0.0, 0.0, 181.0)
+
     def test_antimeridian_crossing_warns_full_width(self):
         with pytest.warns(UserWarning, match="full-width"):
             box = bounding_box([GeoPoint(0, 179.0), GeoPoint(0, -179.0)])

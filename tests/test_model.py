@@ -282,6 +282,11 @@ class TestCalendar:
                 assert to_day_number(d1) < to_day_number(d2)
                 assert (d1.year, d1.month, d1.day) < (d2.year, d2.month, d2.day)
 
+    @pytest.mark.parametrize("n", [1.0, True, "1"])
+    def test_from_day_number_takes_only_an_int(self, n):
+        with pytest.raises(ValueError, match=f"^day number must be an integer, got {n!r}$"):
+            from_day_number(n)
+
     def test_from_day_number_range_errors(self):
         with pytest.raises(ValueError):
             from_day_number(-600_000)
@@ -350,6 +355,19 @@ class TestEventAndBiography:
     def test_absolute_attachment_rejected(self):
         with pytest.raises(ValueError, match="relative"):
             event("a", attachments=("/etc/passwd",))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown kind: 'born'$"):
+            event("a", kind="born")
+
+    def test_attachment_list_stored_as_tuple(self):
+        assert event("a", attachments=["x.jpg", "y.jpg"]).attachments == ("x.jpg", "y.jpg")
+
+    def test_biography_guards(self):
+        with pytest.raises(ValueError, match="^biography title must not be empty$"):
+            Biography(title="", id="t", events=(event("a"),))
+        with pytest.raises(ValueError, match=r"^gazetteer_hint must not be empty \(use None\)$"):
+            Biography(title="T", id="t", events=(event("a"),), gazetteer_hint="")
 
     def test_biography_needs_events(self):
         with pytest.raises(ValueError, match="no events"):

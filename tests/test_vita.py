@@ -792,6 +792,20 @@ class TestSerialize:
         with pytest.raises(ValueError, match="cannot be serialized"):
             serialize_biography(b)
 
+    def test_surrounding_whitespace_rejected(self):
+        e = LifeEvent(
+            id="a",
+            kind="other",
+            when=DateInterval(CalendarDate(1900, 1, 1), CalendarDate(1900, 1, 1)),
+            place_key="p",
+            label=" padded",
+        )
+        b = Biography(title="T", id="t", events=(e,))
+        with pytest.raises(
+            ValueError, match="^value for 'label' has surrounding whitespace: ' padded'$"
+        ):
+            serialize_biography(b)
+
     def test_round_trip_examples(self):
         variants = [
             NEWTON_MINIMAL,
