@@ -23,13 +23,13 @@ error, an input or gazetteer that is not UTF-8 included. Diagnostics
 go to stderr, one per line, as ``LEVEL file:line message``; stdout
 carries only payload so output can be piped. Runs are deterministic:
 no timestamps, no locale-dependent formatting, and no network access
-unless geocode is given an explicit endpoint. Payload is UTF-8 whatever
-the locale, and a failed write to stdout (a full disk, a closed pipe)
-is an I/O error. File outputs are written to a temporary file and
-renamed into place so a failure, in formatting too, never leaves a
-truncated document behind.
-An ``-o`` file gets the mode ``open(path, "w")`` would give it: 0o666
-less the umask when it is new, its own mode when it exists.
+unless geocode is given an explicit endpoint. Every payload, geocode's
+row too, goes through one writer, :func:`_write_output`: UTF-8 whatever
+the locale, and a failed write to stdout (a full disk, a closed pipe, a
+closed stdout) is an I/O error. An ``-o`` file is written to a temporary
+file and renamed into place, so a failure, in formatting too, never
+leaves a truncated document behind; it gets the mode ``open(path, "w")``
+would give it: 0o666 less the umask when new, its own mode when it exists.
 
 The gazetteer is found in precedence order: ``--gazetteer`` flag, then
 the ``VITA_GAZETTEER`` environment variable, then the ``gazetteer``
@@ -45,6 +45,7 @@ all six took as long as a whole ``stats`` run on a bundled corpus.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import warnings
@@ -138,11 +139,9 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             ),
         )
         p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-        if formatter is None:
-            p.set_defaults(func=_parse_and_validate)
-        else:
+        if formatter is not None:
             p.add_argument("-o", "--output", help="output path (default: stdout)")
-            p.set_defaults(func=partial(_run, formatter))
+        p.set_defaults(func=partial(_run, formatter))
         return p
 
     input_command("validate")
@@ -198,8 +197,10 @@ def main(argv: list[str] | None = None) -> int:
 # The run driver
 
 
-def _run(formatter: Formatter, args: argparse.Namespace) -> None:
+def _run(formatter: Formatter | None, args: argparse.Namespace) -> None:
     input_path, biography = _parse_and_validate(args)
+    if formatter is None:  # validate: the biography alone, no gazetteer
+        return
     gazetteer = _load_gazetteer_for(args, biography, input_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -332,12 +333,14 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
     ``output``. A str is one record."""
     if isinstance(records, str):
         records = (records,)
-    if output is None and not hasattr(sys.stdout, "buffer"):  # io.StringIO takes text
-        for record in records:
-            sys.stdout.write(record)
-        return
     try:
         if output is None:
+            if sys.stdout is None:  # fd 1 was closed when Python started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            if not hasattr(sys.stdout, "buffer"):  # io.StringIO takes text
+                for record in records:
+                    sys.stdout.write(record)
+                return
             sys.stdout.flush()
             _write_utf8(records, sys.stdout.buffer)
             return
@@ -366,7 +369,7 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        if output is None:
+        if output is None and sys.stdout is not None:
             # What stays buffered goes to os.devnull at exit, not to a traceback.
             with suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
@@ -422,7 +425,7 @@ def cmd_geocode(args: argparse.Namespace) -> None:
         entry = remote_resolve(args.name, args.endpoint)
     except GeocoderError as exc:
         raise _CliFailure(EXIT_DOMAIN, f"error: {exc}")
-    print(gazetteer_row(entry))
+    _write_output(gazetteer_row(entry) + "\n", None)
 
 
 if __name__ == "__main__":

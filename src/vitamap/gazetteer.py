@@ -14,19 +14,22 @@ a row to paste in, so compiled outputs stay reproducible offline.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
 
 from .model import (
-    TOKEN_RE,
     Diagnostic,
     GeoPoint,
     LifeEvent,
     fold_key,
-    is_token,
     iter_lines,
     parse_coordinate,
 )
+
+# A key is a token (vitamap.model.is_token) that does not end in "-". The
+# loader's valid-row test, its row findings and remote_resolve all use it.
+_KEY = re.compile(r"[a-z0-9][a-z0-9-]*(?<!-)\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +97,7 @@ def load_gazetteer(
     longitude range. Only a valid row defines its key, so a later row
     with the key of a rejected one is its first definition.
     """
-    match_key = TOKEN_RE.match
+    match_key = _KEY.match
     first_lines: dict[str, int] = {}  # key -> line of its first valid row
     entries: dict[str, GazetteerEntry] = {}
     diags: list[Diagnostic] = []
@@ -112,7 +115,6 @@ def load_gazetteer(
             # longitude, the gazetteer rejects it.
             if (
                 match_key(key)
-                and key[-1] != "-"  # no place folds to it
                 and key not in first_lines
                 and display_name
                 and -90.0 <= lat <= 90.0
@@ -140,7 +142,7 @@ def _row_finding(line: str, first_lines: dict[str, int]) -> str:
     if len(columns) != 5:
         return f"expected 5 tab-separated columns, got {len(columns)}"
     key, display_name, lat_text, lon_text, _ = columns
-    if not is_token(key) or key.endswith("-"):
+    if not _KEY.match(key):
         return f"invalid key '{key}'"
     first = first_lines.get(key)
     if first is not None:
@@ -161,13 +163,15 @@ def _row_finding(line: str, first_lines: dict[str, int]) -> str:
 
 
 def gazetteer_row(entry: GazetteerEntry) -> str:
-    """Render one entry as a TSV row (no trailing newline)."""
+    """Render one entry as a TSV row (no trailing newline) that load_gazetteer takes."""
     return "\t".join(
         (
             entry.key,
             entry.display_name,
             f"{entry.point.lat:.6f}",
-            f"{entry.point.lon:.6f}",
+            # A longitude just above -180 rounds to -180.000000, which the
+            # loader refuses: that meridian is written as +180.
+            f"{entry.point.lon:.6f}".replace("-180.", "180."),
             entry.region,
         )
     )
@@ -234,7 +238,7 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
         )
     key, display_name = payload["key"], payload["display_name"]
     lat, lon = payload["lat"], payload["lon"]
-    if not isinstance(key, str) or not is_token(key) or key.endswith("-"):
+    if not isinstance(key, str) or not _KEY.match(key):
         raise GeocoderError("malformed geocoder response: bad key")
     # A tab, CR or LF would split the row that gazetteer_row prints.
     if not isinstance(display_name, str) or not display_name or set("\t\r\n") & set(display_name):

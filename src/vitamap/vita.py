@@ -314,21 +314,18 @@ def _finish_event(
     assert event_id is not None and when is not None
     label = pairs.get("label")
     note = pairs.get("note")
-    try:
-        return LifeEvent(
-            event_id[0],
-            _KINDS[kind[0]] if kind else "other",
-            when,
-            places.setdefault(place[0], place[0]) if place else None,
-            point,
-            label[0] if label else "",
-            note[0] if note else "",
-            tuple([path for path, _, _ in attachments]) if attachments else (),
-            header_line,
-        )
-    except ValueError as exc:  # belt and braces: surface as a diagnostic
-        diags.append(ParseDiagnostic(header_line, 1, str(exc)))
-        return None
+    # Every rule LifeEvent checks is checked above, located: it cannot raise.
+    return LifeEvent(
+        event_id[0],
+        _KINDS[kind[0]] if kind else "other",
+        when,
+        places.setdefault(place[0], place[0]) if place else None,
+        point,
+        label[0] if label else "",
+        note[0] if note else "",
+        tuple([path for path, _, _ in attachments]) if attachments else (),
+        header_line,
+    )
 
 
 def _parse_point(lat: _Pair, lon: _Pair, diags: list[Diagnostic]) -> GeoPoint | None:

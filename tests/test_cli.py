@@ -346,6 +346,24 @@ class TestGazetteerPrecedence:
         assert main(["validate", "--help"]) == 0
         assert "accepted but not read" in " ".join(capsys.readouterr().out.split())
 
+    def test_validate_never_reads_the_gazetteer(self, workspace, monkeypatch, capsys):
+        # validate runs through the same driver as the writing commands,
+        # and stops before the gazetteer is looked for.
+        broken = workspace / "broken.tsv"
+        broken.write_text("not a row\n", encoding="utf-8")
+        opened = []
+
+        def recorded_open(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+        monkeypatch.setattr(cli, "load_gazetteer", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setenv("VITA_GAZETTEER", str(broken))
+        assert main(["validate", vita(workspace, "ok"), "--gazetteer", str(broken)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert opened == [workspace / "ok.vita"]
+
     def test_inline_only_file_needs_no_gazetteer(self, tmp_path, monkeypatch, capsys):
         source = OK_VITA.replace("gazetteer = gazetteer.tsv\n", "").replace(
             "place = home", "lat = 1.0\nlon = 2.0"
@@ -582,6 +600,40 @@ class TestStdoutBytes:
         assert done.returncode == 2
         message = f"cannot write output '<stdout>': {os.strerror(errno.ENOSPC)}\n"
         assert done.stderr == message.encode()
+
+    @pytest.mark.parametrize("encoding", ["ascii", "utf-16"])
+    def test_geocode_row_is_utf8(self, geocoder_stub, tmp_path, encoding):
+        done = subprocess.run(
+            _cli("geocode", "Café", "--endpoint", f"{geocoder_stub}/named"),
+            env=_env(PYTHONIOENCODING=encoding),
+            cwd=tmp_path,
+            capture_output=True,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == "x\tCafé\t1.500000\t2.500000\t\n".encode()
+
+    @pytest.mark.parametrize("command", ["stats", "compile", "geocode"])
+    def test_closed_stdout_is_an_io_error(self, workspace, geocoder_stub, command):
+        # With fd 1 closed when Python starts, sys.stdout is None.
+        if command == "geocode":
+            args = ["Assiut", "--endpoint", f"{geocoder_stub}/ok"]
+        else:
+            args = [vita(workspace, "ok")]
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *_cli(command, *args)],
+            env=_env(),
+            cwd=workspace,
+            stderr=subprocess.PIPE,
+        )
+        message = f"cannot write output '<stdout>': {os.strerror(errno.EBADF)}\n"
+        assert (done.returncode, done.stderr) == (2, message.encode())
+
+    def test_none_stdout_is_an_io_error(self, workspace, monkeypatch, capsys):
+        # What Python sets sys.stdout to when fd 1 is closed at start-up.
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["stats", vita(workspace, "ok")]) == 2
+        message = f"cannot write output '<stdout>': {os.strerror(errno.EBADF)}\n"
+        assert capsys.readouterr().err == message
 
     def test_closed_pipe_is_an_io_error(self, workspace):
         with subprocess.Popen(
@@ -1021,16 +1073,20 @@ class TestStreamedReads:
     @settings(max_examples=100, deadline=None)
     @given(
         _STREAMED_TEXT,
-        st.sampled_from([b"\xff", b"\xf0\x9f\n", b"\xed\xa0\x80", b"\xe4", b"\xc3(\xc3"]),
+        st.booleans(),
+        st.sampled_from(
+            [b"\xff", b"\xf0\x9f\n", b"\xed\xa0\x80", b"\xe4", b"\xc3(\xc3", b"\xef", b"\xef\xbb"]
+        ),
         st.integers(1, 40),
     )
-    def test_bad_byte_located_at_any_read_size(self, property_dir, prefix, bad, size):
-        # The line and the reason a decode of the whole file gives.
+    def test_bad_byte_located_at_any_read_size(self, property_dir, prefix, bom, bad, size):
+        # The line and the reason a decode of the whole file gives. A file
+        # that is a cut BOM alone (b"\xef\xbb") is still not UTF-8.
         path = property_dir / "bad.vita"
-        data = prefix.encode("utf-8") + bad
+        data = b"\xef\xbb\xbf" * bom + prefix.encode("utf-8") + bad
         path.write_bytes(data)
         with pytest.raises(UnicodeDecodeError) as excinfo:
-            data.decode("utf-8")
+            data.decode("utf-8-sig")
         err = io.StringIO()
         with mock.patch.object(cli, "_READ", size), redirect_stderr(err):
             assert main(["validate", str(path)]) == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import string
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -118,6 +119,33 @@ class TestLoadGazetteer:
         rebuilt = "".join(gazetteer_row(e) + "\n" for e in entries.values())
         assert rebuilt == source
         assert load_gazetteer(rebuilt) == entries
+
+
+class TestGazetteerRow:
+    def test_longitude_just_above_minus_180_is_written_as_180(self):
+        # Rounded to six decimals it would read -180.000000, which the loader refuses.
+        row = gazetteer_row(GazetteerEntry("x", "X", GeoPoint(1, -179.9999999)))
+        assert row == "x\tX\t1.000000\t180.000000\t"
+        assert load_gazetteer(row) == {"x": GazetteerEntry("x", "X", GeoPoint(1, 180), "")}
+
+    @given(
+        st.floats(min_value=-90.0, max_value=90.0),
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+        | st.floats(min_value=-180.0000006, max_value=-179.9999994),
+    )
+    def test_any_point_gives_a_row_that_loads_as_itself(self, lat, lon):
+        row = gazetteer_row(GazetteerEntry("x", "X", GeoPoint(lat, lon)))
+        (entry,) = load_gazetteer(row).values()
+        assert gazetteer_row(entry) == row
+
+
+class TestKeyPattern:
+    """gazetteer._KEY, the one key test, is a token without a trailing "-"."""
+
+    @given(st.text() | st.text(alphabet=string.ascii_lowercase + string.digits + "-_A\n"))
+    def test_matches_exactly_tokens_without_a_trailing_hyphen(self, text):
+        expected = is_token(text) and not text.endswith("-")
+        assert bool(gazetteer._KEY.match(text)) is expected
 
 
 # Generated gazetteers: valid rows mixed with rows broken in each way the

@@ -160,6 +160,34 @@ class TestDateRangeEquivalence:
         assert date_outcome(vita._date_range, expr) == date_outcome(reference_date_range, expr)
 
 
+def _maybe(*values: str):
+    return st.none() | st.sampled_from(values)
+
+
+def _event_block(fields) -> str:
+    *values, point, attachments = fields
+    lines = ["[event]"]
+    for key, value in zip(("id", "kind", "start", "end", "place"), values):
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    lines += [point] if point else []
+    lines += [f"attach = {path}" for path in attachments]
+    return "\n".join(lines) + "\n"
+
+
+# [event] blocks a field or two from valid, in each way the parser or
+# LifeEvent can refuse one.
+_NEAR_VALID_EVENTS = st.tuples(
+    _maybe("e1", "A", "-a", "a_b"),
+    _maybe("visit", "birth", "job"),
+    _maybe("1900", "c.1900-02", "19x", "1900-13"),
+    _maybe("1950", "1800", "x"),
+    _maybe("-_-", " ", "\u3000", "_", "Deir el-Medina"),
+    _maybe("lat = 1.5", "lon = 2.5", "lat = 1.5\nlon = 2.5", "lat = 91\nlon = 0"),
+    st.lists(st.sampled_from(["/a", "a"]), max_size=2),
+).map(_event_block)
+
+
 class TestParseBiography:
     def test_minimal_document(self):
         b = parse_biography(NEWTON_MINIMAL)
@@ -322,6 +350,18 @@ class TestParseBiography:
     def test_empty_key_check_agrees_with_fold_key(self, name):
         # The parser reports an empty key without folding the name.
         assert bool(_FOLDS_TO_EMPTY(name)) == (fold_key(name) == "")
+
+    @settings(max_examples=200)
+    @given(st.lists(_NEAR_VALID_EVENTS, min_size=1, max_size=4))
+    def test_near_valid_events_give_a_biography_or_a_parse_error(self, blocks):
+        # The parser checks each rule LifeEvent checks, so building the
+        # event never raises: a block is an event or located findings.
+        try:
+            biography = parse_biography("[biography]\ntitle = T\nid = t\n" + "".join(blocks))
+        except VitaParseError as exc:
+            assert all(d.line >= 4 and d.column >= 1 for d in exc.diagnostics)
+        else:
+            assert isinstance(biography, Biography) and len(biography.events) == len(blocks)
 
     def test_gazetteer_hint(self):
         src = NEWTON_MINIMAL.replace("id = newton", "id = newton\ngazetteer = places.tsv")
