@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 from .model import (
     Diagnostic,
@@ -27,9 +28,17 @@ from .model import (
     parse_coordinate,
 )
 
-# A key is a token (vitamap.model.is_token) that does not end in "-". The
-# loader's valid-row test, its row findings and remote_resolve all use it.
-_KEY = re.compile(r"[a-z0-9][a-z0-9-]*(?<!-)\Z")
+# A key is a token (vitamap.model.is_token) that does not end in "-": the
+# one key rule, stated once. _KEY tests one key (row findings and
+# remote_resolve); _KEYS tests a chunk of keys, each followed by a tab,
+# which no key holds, with one fullmatch (load_gazetteer, after its scan).
+_KEY_RULE = r"[a-z0-9][a-z0-9-]*(?<!-)"
+_KEY = re.compile(_KEY_RULE + r"\Z")
+_KEYS = re.compile(rf"(?:{_KEY_RULE}\t)*")
+# Keys per _KEYS fullmatch. sre keeps state for each repetition, so a
+# larger chunk raises the load's peak memory; 256 keeps it at the scan's.
+_KEY_CHUNK = 256
+_INVALID_KEY = "invalid key '{}'"
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +105,16 @@ def load_gazetteer(
     latitude text, the longitude text, the latitude range and the
     longitude range. Only a valid row defines its key, so a later row
     with the key of a rejected one is its first definition.
+
+    The key rule is the one part of that test run after the scan. The
+    scan takes any key without a ``#``, so that a comment row stays
+    silent, and then tests the defined keys in bulk, one regex match per
+    chunk, giving each key that fails its finding at its row. The
+    findings are the same: an invalid key never equals a valid one, so
+    defining it changes no other row's verdict; a later row with it gets
+    the row finding, whose key test comes first; and the load raises, so
+    no entry built for it is returned.
     """
-    match_key = _KEY.match
     first_lines: dict[str, int] = {}  # key -> line of its first valid row
     entries: dict[str, GazetteerEntry] = {}
     diags: list[Diagnostic] = []
@@ -114,7 +131,7 @@ def load_gazetteer(
             # range tests; unlike GeoPoint, which normalizes an out-of-range
             # longitude, the gazetteer rejects it.
             if (
-                match_key(key)
+                "#" not in key
                 and key not in first_lines
                 and display_name
                 and -90.0 <= lat <= 90.0
@@ -131,6 +148,14 @@ def load_gazetteer(
         if line.strip() and not line.startswith("#"):
             diags.append(Diagnostic("error", None, _row_finding(line, first_lines), lineno, 1))
 
+    defined = iter(first_lines)
+    while chunk := list(islice(defined, _KEY_CHUNK)):
+        if not _KEYS.fullmatch("\t".join(chunk) + "\t"):
+            for key in chunk:
+                if not _KEY.match(key):
+                    message = _INVALID_KEY.format(key)
+                    diags.append(Diagnostic("error", None, message, first_lines[key], 1))
+
     if diags:
         raise GazetteerParseError(diags)
     return entries
@@ -143,7 +168,7 @@ def _row_finding(line: str, first_lines: dict[str, int]) -> str:
         return f"expected 5 tab-separated columns, got {len(columns)}"
     key, display_name, lat_text, lon_text, _ = columns
     if not _KEY.match(key):
-        return f"invalid key '{key}'"
+        return _INVALID_KEY.format(key)
     first = first_lines.get(key)
     if first is not None:
         return f"duplicate key '{key}' (first defined on line {first})"

@@ -389,6 +389,15 @@ class TestGazetteerRows:
         assert captured.out == ""
         assert captured.err.encode() == (FIXTURES / "broken-gazetteer.stderr").read_bytes()
 
+    def test_late_bad_key_matches_golden(self, monkeypatch, capsys):
+        # An invalid key past the loader's first chunk of keys, and again.
+        monkeypatch.chdir(REPO)
+        monkeypatch.delenv("VITA_GAZETTEER", raising=False)
+        assert main(["stats", "tests/fixtures/late-bad-key.vita"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.encode() == (FIXTURES / "late-bad-key.stderr").read_bytes()
+
     def test_entries_built_only_for_places_used(self, tmp_path, monkeypatch, capsys):
         rows = (f"p{i:04d}\tPlace {i}\t{i % 90}.5\t{i % 180}.25\tNowhere\n" for i in range(2000))
         (tmp_path / "gazetteer.tsv").write_text("".join(rows), encoding="utf-8")

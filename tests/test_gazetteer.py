@@ -147,6 +147,18 @@ class TestKeyPattern:
         expected = is_token(text) and not text.endswith("-")
         assert bool(gazetteer._KEY.match(text)) is expected
 
+    @given(
+        st.lists(
+            st.text(alphabet=string.ascii_lowercase + string.digits + "-_A\n#")
+            | st.text(alphabet=st.characters(exclude_characters="\t"))
+        )
+    )
+    def test_bulk_pattern_accepts_exactly_lists_of_keys(self, texts):
+        # A key holds no tab: it is a cell of a row split on tabs.
+        expected = all(gazetteer._KEY.match(text) for text in texts)
+        joined = "".join(text + "\t" for text in texts)
+        assert bool(gazetteer._KEYS.fullmatch(joined)) is expected
+
 
 # Generated gazetteers: valid rows mixed with rows broken in each way the
 # loader reports. Keys come from a small pool, so that duplicates, and
@@ -236,6 +248,57 @@ class TestLoadGazetteerKeys:
             tracemalloc.stop()
         assert list(entries) == ["site-12345"]
         assert peak < 3 * len(source)
+
+
+class TestKeysCheckedInBulk:
+    """The key rule runs once per chunk of defined keys, after the scan."""
+
+    @staticmethod
+    def valid_rows(count):
+        return "".join(
+            f"site-{i:05d}\tSite {i}\t{i % 90}.5\t{i % 180}.25\tR\n" for i in range(count)
+        )
+
+    def test_comment_row_with_five_valid_cells_is_silent(self):
+        source = "#giza\tGiza\t1\t2\tE\n" + GIZA_ROW + "\n"
+        assert list(load_gazetteer(source)) == ["giza"]
+        assert_same_as_reference(source, None)
+
+    def test_bad_key_past_the_first_chunk_is_located_at_its_row(self):
+        source = self.valid_rows(300) + "Late_Key\tLate\t1\t2\tR\n" + GIZA_ROW + "\n"
+        diags = errors_of(source)
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (301, 1, "invalid key 'Late_Key'")
+        ]
+        assert_same_as_reference(source, None)
+
+    def test_bad_key_twice_is_invalid_at_both_rows(self):
+        bad = "giza-\tGiza\t1\t2\tE\n"
+        source = bad + GIZA_ROW + "\n" + bad
+        assert [(d.line, d.column, d.message) for d in errors_of(source)] == [
+            (1, 1, "invalid key 'giza-'"),
+            (3, 1, "invalid key 'giza-'"),
+        ]
+        assert_same_as_reference(source, None)
+
+    def test_bad_key_that_is_wanted_still_raises(self):
+        source = GIZA_ROW + "\ncafé\tCafé\t1\t2\tE\n"
+        assert [(d.line, d.column, d.message) for d in errors_of(source, {"café"})] == [
+            (2, 1, "invalid key 'café'")
+        ]
+        assert_same_as_reference(source, {"café"})
+
+    def test_one_bulk_match_per_chunk_and_no_match_per_row(self):
+        # A guard against a quiet return to one regex per row.
+        rows = 20_000
+        source = self.valid_rows(rows)
+        with (
+            mock.patch.object(gazetteer, "_KEY", mock.Mock(wraps=gazetteer._KEY)) as key,
+            mock.patch.object(gazetteer, "_KEYS", mock.Mock(wraps=gazetteer._KEYS)) as keys,
+        ):
+            assert len(load_gazetteer(source, {"site-12345"})) == 1
+        assert key.match.call_count == 0
+        assert keys.fullmatch.call_count == -(-rows // gazetteer._KEY_CHUNK)
 
 
 def reference_load(source, keys=None):
@@ -355,6 +418,13 @@ class TestValidRowTest:
     def test_rows_walked_a_piece_at_a_time(self, source, keys, chunk):
         # Small pieces put every cut, and so every row after one, in play.
         with mock.patch.object(gazetteer, "iter_lines", partial(iter_lines, chunk=chunk)):
+            assert_same_as_reference(source, keys)
+
+    @settings(max_examples=300)
+    @given(_mixed_sources, st.none() | st.sets(_valid_keys), st.integers(1, 3))
+    def test_keys_checked_a_few_at_a_time(self, source, keys, chunk):
+        # Small chunks put every key, bad or not, next to a chunk boundary.
+        with mock.patch.object(gazetteer, "_KEY_CHUNK", chunk):
             assert_same_as_reference(source, keys)
 
     def test_rejected_row_does_not_define_its_key(self):
