@@ -5,10 +5,11 @@ it parses the input, reports validation findings, loads the gazetteer,
 calls the subcommand's formatter ``(args, biography, gazetteer) ->
 records`` and writes the records as they are drawn; ``validate`` stops
 after the parse-and-validate step. The input and the gazetteer are read
-4 KiB at a time, their lines handed on as they are decoded. A formatter
-resolves and orders, by :func:`vitamap.geo.itinerary_stops`, before it
-returns, so every finding and warning is reported before the first byte
-is written. So a run validates and resolves once, and holds the
+4 KiB at a time and decoded by the stdlib's ``utf-8-sig`` decoder, which
+drops a leading BOM; their lines are handed on as they are decoded. A
+formatter resolves and orders, by :func:`vitamap.geo.itinerary_stops`,
+before it returns, so every finding and warning is reported before the
+first byte is written. So a run validates and resolves once, and holds the
 biography, the gazetteer's key index, one 4 KiB read, one record and
 the write buffer: never a whole input file, and never a whole document
 (KML, GeoJSON and the matrix; the smaller itinerary and stats texts are
@@ -45,11 +46,11 @@ all six took as long as a whole ``stats`` run on a bundled corpus.
 from __future__ import annotations
 
 import argparse
+import codecs
 import errno
 import os
 import sys
 import warnings
-from codecs import utf_8_decode
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import suppress
 from functools import partial
@@ -219,9 +220,10 @@ _READ = 1 << 12  # the bytes read from an input file at a time
 
 def _read_lines(path: Path, what: str) -> Iterator[str]:
     """The lines of a UTF-8 file, as :func:`vitamap.model.split_lines`
-    gives them, read _READ bytes at a time; a leading BOM is dropped. A
-    file that cannot be read or is not UTF-8 fails the run with exit 2,
-    at the line a split of its whole text puts its first bad byte on."""
+    gives them, read _READ bytes at a time; the stdlib's ``utf-8-sig``
+    decoder drops a leading BOM. A file that cannot be read or is not
+    UTF-8 fails the run with exit 2, at the line a split of its whole
+    text puts its first bad byte on."""
     return chain.from_iterable(_read_pieces(path, what))
 
 
@@ -231,6 +233,7 @@ def _read_pieces(path: Path, what: str) -> Iterator[list[str]]:
     for piece in line_pieces(_read_texts(path, what, bad)):
         line += len(piece)
         yield piece
+        del piece  # not held while the next text is read
     if bad:
         message = f"{what} is not valid UTF-8 ({bad[0]})"
         raise _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
@@ -243,26 +246,19 @@ def _read_texts(path: Path, what: str, bad: list[str]) -> Iterator[str]:
         file = open(path, "rb", buffering=0)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise _unreadable(path, what, exc)
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
     with file:
-        undecoded = b""  # the start of a sequence that a read cut in two
-        first = True  # no character decoded yet
-        while True:
-            try:
-                read = file.read(_READ)
-            except OSError as exc:
-                raise _unreadable(path, what, exc)
-            data = undecoded + read
-            try:
-                text, used = utf_8_decode(data, "strict", not read)
-            except UnicodeDecodeError as exc:
-                text, used, read = data[: exc.start].decode("utf-8"), exc.start, b""
-                bad.append(exc.reason)
-            undecoded = data[used:]
-            if text and first:  # tolerate a leading BOM from Windows editors
-                text, first = text.removeprefix("\ufeff"), False
-            yield text
-            if not read:
-                return
+        try:
+            # Unlike a loop variable, map keeps no read while its text is drawn.
+            yield from map(decoder.decode, iter(partial(file.read, _READ), b""))
+            # What the decoder holds at the end is a cut sequence, or a cut
+            # BOM, which its final call would let pass: a strict decode fails.
+            decoder.getstate()[0].decode("utf-8")
+        except OSError as exc:  # a read after the open failed
+            raise _unreadable(path, what, exc)
+        except UnicodeDecodeError as exc:  # exc.object is past a BOM too
+            bad.append(exc.reason)
+            yield exc.object[: exc.start].decode("utf-8")
 
 
 def _unreadable(path: Path, what: str, exc: OSError | ValueError) -> _CliFailure:
@@ -352,7 +348,8 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
         except ValueError as exc:  # a NUL byte in the path, which os.open would refuse too
             raise _CliFailure(EXIT_USAGE, f"cannot write output '{output}': {exc}")
         for n in count():
-            tmp = target.parent / f".{target.name}.{n}.tmp"
+            # Not named after the target: a name of 255 bytes is valid too.
+            tmp = target.parent / f".vitamap.{n}.tmp"
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 break

@@ -51,41 +51,39 @@ def split_lines(text: str) -> list[str]:
     return text.split("\n")
 
 
-# Where a line ends within a piece: a LF, a CRLF, or a CR before any other
-# character. A CR that ends the piece may begin a CRLF, so no cut follows it.
-_LINE_END = re.compile(r"\r\n|\n|\r(?=.)", re.DOTALL)
+_SLICE = 1 << 12  # the characters of a text that iter_lines hands on at a time
 
 
-def iter_lines(text: str, chunk: int = 1 << 12) -> Iterator[str]:
-    """The lines of :func:`split_lines`, split about ``chunk`` characters
-    at a time, so that no list of every line is ever held."""
-    return chain.from_iterable(line_pieces((text,), chunk))
+def iter_lines(text: str) -> Iterator[str]:
+    """The lines of :func:`split_lines`, as the pieces that
+    :func:`line_pieces` gives of slices of the text _SLICE characters
+    long, so that no list of every line is ever held."""
+    slices = (text[start : start + _SLICE] for start in range(0, len(text), _SLICE))
+    return chain.from_iterable(line_pieces(slices))
 
 
-def line_pieces(texts: Iterable[str], chunk: int = 1 << 12) -> Iterator[list[str]]:
+def line_pieces(texts: Iterable[str]) -> Iterator[list[str]]:
     """The lines :func:`split_lines` gives of the joined ``texts``, as
-    lists: each but the last ends at the first line end at least
-    ``chunk`` characters into it, and the last holds the final line.
+    lists that follow the texts: once a text may end a line, a piece
+    holds the lines ended since the last piece, and the last piece the
+    final line.
 
-    A text with no line end is only held until one comes, so a line
-    longer than many texts is joined once.
+    A text with no line end is only held until one comes, so the texts
+    of a long line are joined when its end comes, not once per text.
     """
-    search = _LINE_END.search
-    held: list[str] = []  # the text after the last cut
+    held: list[str] = []  # the texts of the line not yet ended
     for text in texts:
         held.append(text)
         # Join only once a line may have ended: at a LF or CR in this text,
         # or at a CR that ended the text before.
-        if len(held) > 1 and not (held[-2].endswith("\r") or "\n" in text or "\r" in text):
-            continue
-        text = "".join(held)
-        start = 0
-        while found := search(text, start + chunk - 1):
-            lines = split_lines(text[start : found.end()])
-            lines.pop()  # the "" after the cut: the next piece starts that line
+        if "\n" in text or "\r" in text or held[0].endswith("\r"):
+            text = "".join(held)
+            cr = "\r" if text.endswith("\r") else ""  # it may begin a CRLF: held, not split
+            lines = split_lines(text.removesuffix(cr))
+            del text  # not held while the lines are drawn
+            held = [lines.pop() + cr]
             yield lines
-            start = found.end()
-        held = [text[start:]]
+            del lines  # not held while the next text is read
     yield split_lines("".join(held))
 
 

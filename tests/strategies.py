@@ -1,12 +1,14 @@
 """Hypothesis strategies shared by the round-trip and property tests, a
-long generated timeline with its gazetteer for the memory gates, and
-events whose dates count their comparisons for the complexity guards."""
+long generated timeline with its gazetteer for the memory gates, events
+whose dates count their comparisons for the complexity guards, and the
+lines of a text read a few characters at a time."""
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from datetime import date
+from itertools import chain
 
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from vitamap.model import (
     LifeEvent,
     EVENT_KINDS,
     from_day_number,
+    line_pieces,
 )
 
 tokens = st.from_regex(r"[a-z0-9][a-z0-9-]{0,15}", fullmatch=True)
@@ -141,3 +144,10 @@ def counting_dates(events: Iterable[LifeEvent]) -> tuple[tuple[LifeEvent, ...], 
     )
     comparisons[0] = 0
     return counted_events, comparisons
+
+
+def sliced_lines(text: str, size: int) -> Iterator[str]:
+    """The lines of ``text`` as :func:`vitamap.model.line_pieces` gives
+    them from slices ``size`` characters long, as a file read is cut."""
+    slices = (text[start : start + size] for start in range(0, len(text), size))
+    return chain.from_iterable(line_pieces(slices))

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
@@ -259,6 +260,17 @@ class TestUndecodableFiles:
         assert main(["compile", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error {path}:2 input is not valid UTF-8")
 
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["1", "2"])
+    def test_a_cut_bom_alone_is_not_utf8(self, workspace, capsys, data):
+        # A decode of the whole file refuses it; the stdlib's incremental
+        # utf-8-sig decoder, at its final call, lets it pass.
+        path = workspace / "cut-bom.vita"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error {path}:1 input is not valid UTF-8 (unexpected end of data)\n"
+        )
+
     def test_non_utf8_gazetteer_is_located_usage_error(self, workspace, capsys):
         gaz = workspace / "gazetteer.tsv"
         gaz.write_bytes(GAZ.encode("utf-8").replace(b"\tAway\t", b"\tAw\xe4y\t"))
@@ -492,14 +504,25 @@ class TestOutputs:
 
     def test_taken_temporary_name_is_left_as_it_was(self, workspace, newton_path):
         # Another run's temporary file, or a killed run's: the next name is used.
-        taken = workspace / ".out.kml.0.tmp"
+        taken = workspace / ".vitamap.0.tmp"
         taken.write_text("another run's", encoding="utf-8")
         out = workspace / "out.kml"
         assert main(["compile", str(newton_path), "-o", str(out)]) == 0
         golden = newton_path.parent / "golden" / "newton.kml"
         assert out.read_bytes() == golden.read_bytes()
         assert taken.read_text(encoding="utf-8") == "another run's"
-        assert not (workspace / ".out.kml.1.tmp").exists()
+        assert not (workspace / ".vitamap.1.tmp").exists()
+
+    @pytest.mark.parametrize("name", ["a" * 250 + ".txt", "€" * 85], ids=["ascii", "euro"])
+    def test_longest_file_name_is_written(self, newton_path, tmp_path, name):
+        # 255 bytes, the most a name may have on most file systems, as
+        # open(path, "w") takes it: the temporary name is no longer.
+        assert len(name.encode("utf-8")) in (254, 255)
+        out = tmp_path / name
+        assert main(["stats", str(newton_path), "-o", str(out)]) == 0
+        golden = newton_path.parent / "golden" / "newton.stats.txt"
+        assert out.read_bytes() == golden.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_itinerary_csv_has_nine_columns(self, workspace, capsys):
         assert main(["itinerary", vita(workspace, "ok"), "--format", "csv"]) == 0
@@ -1142,6 +1165,34 @@ class TestStreamedReads:
         path = vita(workspace, "ok")
         assert main(["validate", path]) == 2
         assert capsys.readouterr().err == f"cannot read input '{path}': Input/output error\n"
+
+
+class TestReadPieces:
+    def test_no_piece_is_held_while_the_next_read_runs(self, tmp_path, monkeypatch):
+        # A piece is let go once its lines are drawn, so a run never holds
+        # it and the next read's buffer at once.
+        path = tmp_path / "long.vita"
+        path.write_text(long_timeline_text(300), encoding="utf-8")
+        pieces = []  # a weak reference to each piece split
+
+        class Lines(list):  # a list subclass takes weak references
+            pass
+
+        def split(text):
+            lines = Lines(split_lines(text))
+            pieces.append(weakref.ref(lines))
+            return lines
+
+        class Checked(io.FileIO):
+            def read(self, size):
+                assert [ref() for ref in pieces] == [None] * len(pieces)
+                return super().read(size)
+
+        monkeypatch.setattr(model, "split_lines", split)
+        monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: Checked(path), raising=False)
+        drawn = sum(1 for _ in cli._read_lines(path, "input"))
+        assert drawn == len(split_lines(path.read_text(encoding="utf-8")))
+        assert len(pieces) > 8
 
 
 class _Spy(io.BytesIO):

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 from datetime import date, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -154,15 +155,29 @@ class TestSlottedValues:
 LINE_ENDS_TEXT = st.lists(st.sampled_from(["a", "\r", "\n", "\r\n"])).map("".join)
 
 
+@pytest.fixture
+def split_sizes(monkeypatch):
+    """The length of each text that model.split_lines is then given."""
+    sizes = []
+
+    def spy(text):
+        sizes.append(len(text))
+        return split_lines(text)
+
+    monkeypatch.setattr(model, "split_lines", spy)
+    return sizes
+
+
 class TestIterLines:
-    """iter_lines yields split_lines's lines, a bounded piece at a time."""
+    """iter_lines yields split_lines's lines, a bounded slice at a time."""
 
     @given(LINE_ENDS_TEXT, st.integers(1, 17))
-    def test_same_lines_as_split_lines(self, text, chunk):
-        assert list(iter_lines(text, chunk)) == split_lines(text)
+    def test_same_lines_as_split_lines(self, text, size):
+        with mock.patch.object(model, "_SLICE", size):
+            assert list(iter_lines(text)) == split_lines(text)
 
     @pytest.mark.parametrize(
-        "text,chunk",
+        "text,size",
         [
             ("ab\r\ncd\r\n", 3),  # the first cut would fall inside a CRLF
             ("ab\rcd\n\ref", 3),  # a lone CR where a cut would fall
@@ -170,65 +185,68 @@ class TestIterLines:
             ("a\rb\rc", 1),  # no LF at all
             ("ab\rcd\ref", 3),  # a cut after each lone CR
             ("ab\r", 3),  # a CR that ends the text
-            ("abc\n", 4),  # exactly one chunk long
+            ("abc\n", 4),  # exactly one slice long
             ("abc\r", 4),
             ("abcd", 4),
             ("", 1),
             ("\n", 1),
         ],
     )
-    def test_cuts(self, text, chunk):
-        assert list(iter_lines(text, chunk)) == split_lines(text)
+    def test_cuts(self, text, size):
+        with mock.patch.object(model, "_SLICE", size):
+            assert list(iter_lines(text)) == split_lines(text)
 
     def test_default_chunk_on_a_long_text(self):
         ends = ("\n", "\r\n", "\r")
         text = "".join(f"line {i}{ends[i % 3]}" for i in range(20_000))
-        assert len(text) > 8 * (1 << 12)
+        assert len(text) > 8 * model._SLICE
         assert list(iter_lines(text)) == split_lines(text)
 
-    def test_splits_a_piece_at_a_time(self, monkeypatch):
-        sizes = []
-
-        def spy(text):
-            sizes.append(len(text))
-            return split_lines(text)
-
-        monkeypatch.setattr(model, "split_lines", spy)
+    def test_splits_a_piece_at_a_time(self, split_sizes, monkeypatch):
+        monkeypatch.setattr(model, "_SLICE", 32)
         text = "0123456789\n" * 100
-        lines = iter_lines(text, 32)
-        assert sizes == []  # nothing is split until a line is drawn
-        assert next(lines) == "0123456789" and sizes == [33]
-        assert len(list(lines)) == 100 and max(sizes) == 33 and sum(sizes) == len(text)
+        lines = iter_lines(text)
+        assert split_sizes == []  # nothing is split until a line is drawn
+        assert next(lines) == "0123456789" and split_sizes == [32]
+        # Each split takes a slice and the start of a line the last one held.
+        assert len(list(lines)) == 100 and max(split_sizes) <= 32 + 10
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_any_line_end_cuts_pieces(self, end):
-        # A lone CR is a cut too, unless it ends a piece: a LF may follow it.
+        # A lone CR is a cut too, unless it ends a text: a LF may follow it.
         text = f"0123456789{end}" * 100
-        sizes = [len(end.join(piece)) for piece in line_pieces((text,), 32)]
+        texts = [text[start : start + 32] for start in range(0, len(text), 32)]
+        sizes = [len(end.join(piece)) for piece in line_pieces(texts)]
         assert len(sizes) > 20 and max(sizes) <= 32 + 11
 
 
 class TestLinePieces:
     """line_pieces yields the lines of its texts joined, wherever they are cut."""
 
-    @given(LINE_ENDS_TEXT, st.lists(st.integers(0, 40)), st.integers(1, 17))
-    def test_same_lines_as_one_split(self, text, cuts, chunk):
+    @given(LINE_ENDS_TEXT, st.lists(st.integers(0, 40)))
+    def test_same_lines_as_one_split(self, text, cuts):
         cuts = sorted(min(cut, len(text)) for cut in cuts)
         texts = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
-        pieces = list(line_pieces(texts, chunk))
+        pieces = list(line_pieces(texts))
         assert [line for piece in pieces for line in piece] == split_lines(text)
 
-    def test_a_line_across_many_texts_is_split_once(self, monkeypatch):
-        sizes = []
+    def test_a_line_across_many_texts_is_split_at_most_twice(self, split_sizes):
+        pieces = list(line_pieces(["x" * 10] * 1000 + ["\r", "abc"]))
+        assert [line for piece in pieces for line in piece] == ["x" * 10_000, "abc"]
+        # At most at the CR, which may begin a CRLF, and at the text after it;
+        # the last split is the final line's.
+        *touching, last = split_sizes
+        assert len(touching) <= 2 and last == 3
 
-        def spy(text):
-            sizes.append(len(text))
-            return split_lines(text)
-
-        monkeypatch.setattr(model, "split_lines", spy)
-        pieces = list(line_pieces(["x" * 10] * 1000 + ["\r", "abc"], 4))
-        assert pieces == [["x" * 10_000], ["abc"]]
-        assert sizes == [10_001, 3]
+    @pytest.mark.parametrize("size", [4, 7])
+    def test_lone_crs_come_a_piece_per_text(self, split_sizes, size):
+        # Never held whole: each text with a CR in it ends a piece.
+        text = "abc\r" * 1000
+        texts = [text[start : start + size] for start in range(0, len(text), size)]
+        pieces = list(line_pieces(texts))
+        assert [line for piece in pieces for line in piece] == split_lines(text)
+        assert len(texts) <= len(pieces) <= len(texts) + 1
+        assert max(split_sizes) <= size + 4
 
 
 class TestCalendar:

@@ -5,9 +5,7 @@ from __future__ import annotations
 import calendar
 import re
 import tracemalloc
-from functools import partial
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +19,6 @@ from vitamap.model import (
     GeoPoint,
     LifeEvent,
     fold_key,
-    iter_lines,
     split_lines,
 )
 from vitamap.vita import (
@@ -32,7 +29,7 @@ from vitamap.vita import (
     serialize_biography,
 )
 
-from strategies import biographies, long_timeline_text
+from strategies import biographies, long_timeline_text, sliced_lines
 
 NEWTON_MINIMAL = """\
 [biography]
@@ -757,7 +754,7 @@ class TestSharedValues:
         assert found == [(line, message), (line + 5, message), (line + 10, message)]
 
 
-# Good and broken lines of every kind, for texts cut at any chunk size.
+# Good and broken lines of every kind, for texts cut at any slice size.
 _ANY_LINE = st.sampled_from(
     [
         "[biography]", "title = T", "id = t", "id = ?", "gazetteer = /g.tsv", "[event]",
@@ -771,7 +768,7 @@ _ANY_LINE = st.sampled_from(
 )
 
 
-def _outcome(text: str):
+def _outcome(text):
     try:
         b = parse_biography(text)
     except VitaParseError as exc:
@@ -787,13 +784,9 @@ class TestChunkedParse:
         st.lists(st.tuples(_ANY_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=40),
         st.integers(1, 40),
     )
-    def test_any_chunk_same_result_as_one_split(self, lines, chunk):
+    def test_any_chunk_same_result_as_one_split(self, lines, size):
         text = "".join(line + end for line, end in lines)
-        with mock.patch.object(vita, "iter_lines", partial(iter_lines, chunk=chunk)):
-            chunked = _outcome(text)
-        with mock.patch.object(vita, "iter_lines", lambda source: iter(split_lines(source))):
-            whole = _outcome(text)
-        assert chunked == whole
+        assert _outcome(sliced_lines(text, size)) == _outcome(split_lines(text))
 
 
 class TestSerialize:
