@@ -27,10 +27,13 @@ no timestamps, no locale-dependent formatting, and no network access
 unless geocode is given an explicit endpoint. Every payload, geocode's
 row too, goes through one writer, :func:`_write_output`: UTF-8 whatever
 the locale, and a failed write to stdout (a full disk, a closed pipe, a
-closed stdout) is an I/O error. An ``-o`` file is written to a temporary
-file and renamed into place, so a failure, in formatting too, never
-leaves a truncated document behind; it gets the mode ``open(path, "w")``
-would give it: 0o666 less the umask when new, its own mode when it exists.
+closed stdout) is an I/O error. An ``-o`` path is written where
+``open(path, "w")`` would write it. A new or regular file is written to a
+temporary file and renamed into place, so a failure, in formatting too,
+never leaves a truncated document behind; it gets the mode
+``open(path, "w")`` would give it: 0o666 less the umask when new, its own
+mode when it exists. Through a symlink, the file it points to is replaced
+and the link is kept. A pipe or a device is written in place.
 
 The gazetteer is found in precedence order: ``--gazetteer`` flag, then
 the ``VITA_GAZETTEER`` environment variable, then the ``gazetteer``
@@ -49,6 +52,7 @@ import argparse
 import codecs
 import errno
 import os
+import stat
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -340,13 +344,19 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
             sys.stdout.flush()
             _write_utf8(records, sys.stdout.buffer)
             return
-        target = Path(output)
         try:
-            mode = os.stat(target).st_mode & 0o777  # an existing output keeps its mode
-        except OSError:
+            mode = os.stat(output).st_mode  # an existing output keeps its mode
+        except FileNotFoundError:  # a dangling symlink too: its file is new
             mode = None  # a new one gets 0o666 less the umask, from os.open
         except ValueError as exc:  # a NUL byte in the path, which os.open would refuse too
             raise _CliFailure(EXIT_USAGE, f"cannot write output '{output}': {exc}")
+        if mode is not None and not stat.S_ISREG(mode):  # a pipe or a device: in place
+            with open(output, "wb", buffering=_SLICE) as handle:
+                _write_utf8(records, handle)
+            return
+        # A symlink's file is replaced and the link kept; realpath, a stat per
+        # part of the path, runs only for a link.
+        target = Path(os.path.realpath(output) if os.path.islink(output) else output)
         for n in count():
             # Not named after the target: a name of 255 bytes is valid too.
             tmp = target.parent / f".vitamap.{n}.tmp"
@@ -358,7 +368,7 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
         try:
             with os.fdopen(fd, "wb", buffering=_SLICE) as handle:
                 if mode is not None and hasattr(os, "fchmod"):  # not on Windows before 3.13
-                    os.fchmod(fd, mode)
+                    os.fchmod(fd, mode & 0o777)
                 _write_utf8(records, handle)
             os.replace(tmp, target)
         except BaseException:  # the records are drawn here: formatting can fail too

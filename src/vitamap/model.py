@@ -9,6 +9,7 @@ positive numbers.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -64,27 +65,27 @@ def iter_lines(text: str) -> Iterator[str]:
 
 def line_pieces(texts: Iterable[str]) -> Iterator[list[str]]:
     """The lines :func:`split_lines` gives of the joined ``texts``, as
-    lists that follow the texts: once a text may end a line, a piece
-    holds the lines ended since the last piece, and the last piece the
-    final line.
+    lists that follow the texts: once a text ends a line, a piece holds
+    the lines ended since the last piece, and the last piece the final
+    line.
 
-    A text with no line end is only held until one comes, so the texts
-    of a long line are joined when its end comes, not once per text.
+    The stdlib's newline decoder turns CRLF and a lone CR into LF, and
+    holds back a CR that ends a text until the next text shows whether a
+    LF follows it. A text with no line end is only held until one comes,
+    so the texts of a long line are joined when its end comes, not once
+    per text.
     """
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
     held: list[str] = []  # the texts of the line not yet ended
-    for text in texts:
+    for text in map(newlines.decode, texts):
         held.append(text)
-        # Join only once a line may have ended: at a LF or CR in this text,
-        # or at a CR that ended the text before.
-        if "\n" in text or "\r" in text or held[0].endswith("\r"):
-            text = "".join(held)
-            cr = "\r" if text.endswith("\r") else ""  # it may begin a CRLF: held, not split
-            lines = split_lines(text.removesuffix(cr))
+        if "\n" in text:
+            lines = split_lines("".join(held))
+            held = [lines.pop()]
             del text  # not held while the lines are drawn
-            held = [lines.pop() + cr]
             yield lines
             del lines  # not held while the next text is read
-    yield split_lines("".join(held))
+    yield split_lines("".join(held) + newlines.decode("", True))
 
 
 # ---------------------------------------------------------------------------

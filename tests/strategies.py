@@ -1,12 +1,14 @@
 """Hypothesis strategies shared by the round-trip and property tests, a
 long generated timeline with its gazetteer for the memory gates, events
-whose dates count their comparisons for the complexity guards, and the
-lines of a text read a few characters at a time."""
+whose dates count their comparisons for the complexity guards, the
+lines of a text read a few characters at a time, and the memory probe
+of the peak gates."""
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Iterator
+import tracemalloc
+from collections.abc import Callable, Iterable, Iterator
 from datetime import date
 from itertools import chain
 
@@ -151,3 +153,12 @@ def sliced_lines(text: str, size: int) -> Iterator[str]:
     them from slices ``size`` characters long, as a file read is cut."""
     slices = (text[start : start + size] for start in range(0, len(text), size))
     return chain.from_iterable(line_pieces(slices))
+
+
+def traced_peak(run: Callable[[], object]) -> tuple[object, int]:
+    """What ``run()`` returns, and the tracemalloc peak of the call in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -12,12 +12,12 @@ import re
 import stat
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import weakref
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +29,7 @@ from vitamap.cli import COMMANDS, build_parser, main
 from vitamap.model import GeoPoint, split_lines
 from vitamap.vita import VitaParseError, parse_biography
 
-from strategies import long_timeline_gazetteer, long_timeline_text
+from strategies import long_timeline_gazetteer, long_timeline_text, traced_peak
 
 OK_VITA = """\
 [biography]
@@ -714,23 +714,57 @@ class TestOutputMode:
         assert sorted(p.name for p in workspace.glob(".*.tmp")) == []
 
 
+class TestOutputTarget:
+    """An -o path is written where open(path, "w") would write it."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_written_in_place(self, newton_path, tmp_path):
+        out = tmp_path / "pipe.kml"
+        os.mkfifo(out)
+        # A reader opened before the run, without blocking: the run's open
+        # finds it waiting, and a read never waits for a writer.
+        fd = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["compile", str(newton_path), "-o", str(out)]) == 0
+            received = b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+        assert received == (newton_path.parent / "golden" / "newton.kml").read_bytes()
+        assert stat.S_ISFIFO(out.lstat().st_mode)
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["file", "dangling"])
+    def test_symlink_is_kept_and_its_file_written(self, newton_path, tmp_path, existing):
+        real = tmp_path / "real.kml"
+        if existing:
+            real.write_text("stale", encoding="utf-8")
+            real.chmod(0o640)
+        link = tmp_path / "link.kml"
+        link.symlink_to(real.name)
+        assert main(["compile", str(newton_path), "-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_bytes() == (newton_path.parent / "golden" / "newton.kml").read_bytes()
+        if existing:
+            assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.glob(".*.tmp")) == []
+
+    def test_symlink_loop_is_an_io_error(self, newton_path, tmp_path, capsys):
+        link = tmp_path / "loop.kml"
+        link.symlink_to(link.name)
+        assert main(["compile", str(newton_path), "-o", str(link)]) == 2
+        message = f"cannot write output '{link}': {os.strerror(errno.ELOOP)}\n"
+        assert capsys.readouterr().err == message
+        assert link.is_symlink()
+
+
 class TestWriteMemory:
     """The payload is encoded a bounded slice at a time, never whole."""
 
     TEXT = "Café à l'Hôtel\n" * (2**20 // 15)  # 1 MiB of Latin-1 text
 
-    def added_peak(self, write) -> int:
-        tracemalloc.start()
-        try:
-            write()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_file(self, tmp_path):
         out = tmp_path / "out.txt"
         cli._write_output("warm", str(out))  # the traced write replaces a file
-        peak = self.added_peak(lambda: cli._write_output(self.TEXT, str(out)))
+        _, peak = traced_peak(lambda: cli._write_output(self.TEXT, str(out)))
         encoded = self.TEXT.encode("utf-8")
         assert out.read_bytes() == encoded
         assert peak < 0.3 * len(encoded)
@@ -739,7 +773,7 @@ class TestWriteMemory:
         out = tmp_path / "stdout.txt"
         with open(out, "w", encoding="utf-8") as stream:
             monkeypatch.setattr(sys, "stdout", stream)
-            peak = self.added_peak(lambda: cli._write_output(self.TEXT, None))
+            _, peak = traced_peak(lambda: cli._write_output(self.TEXT, None))
         encoded = self.TEXT.encode("utf-8")
         assert out.read_bytes() == encoded
         assert peak < 0.3 * len(encoded)
@@ -1151,8 +1185,8 @@ class TestStreamedReads:
         monkeypatch.setattr(cli, "open", recorded_open, raising=False)
         lines = cli._read_lines(path, "input")
         assert reads == []
-        # A piece ends at the first line end a chunk into the text: two reads at most.
-        assert next(lines) == "[biography]" and len(reads) <= 2
+        # Pieces follow the texts read: the first line comes after one read.
+        assert next(lines) == "[biography]" and len(reads) == 1
         assert list(lines) == split_lines(path.read_text(encoding="utf-8"))[1:]
         assert len(reads) > 8 and set(reads) == {cli._READ}
 
@@ -1235,16 +1269,6 @@ class TestWriteUtf8:
 STREAMED = [["compile"], ["compile", "--format", "geojson"], ["distances", "--matrix"]]
 
 
-def _peak(run) -> int:
-    """The tracemalloc peak of one call of ``run``, in bytes."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreamedWrites:
     """Documents are written as they are formatted, and every check still
     runs before the first byte is written."""
@@ -1304,8 +1328,10 @@ class TestStreamedWrites:
         gaz.write_text(long_timeline_gazetteer(), encoding="utf-8")
         out = tmp_path / "long.kml"
         main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)])  # warm
-        parse_peak = _peak(lambda: parse_biography(path.read_text(encoding="utf-8")))
-        run_peak = _peak(lambda: main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)]))
+        _, parse_peak = traced_peak(lambda: parse_biography(path.read_text(encoding="utf-8")))
+        _, run_peak = traced_peak(
+            lambda: main(["compile", str(path), "--gazetteer", str(gaz), "-o", str(out)])
+        )
         assert out.read_text(encoding="utf-8").count("<Placemark>") == 3000
         assert run_peak < 0.95 * parse_peak
 
@@ -1329,7 +1355,7 @@ class TestStreamedWrites:
         argv = ["stats", str(path), "--gazetteer", str(gaz)]
         assert main(argv) == 0  # warm
         capsys.readouterr()
-        peak = _peak(lambda: main(argv))
+        _, peak = traced_peak(lambda: main(argv))
         assert "distinct_place_count: 2" in capsys.readouterr().out
         assert peak < 2.5 * gaz.stat().st_size
 
@@ -1341,7 +1367,7 @@ class TestStreamedWrites:
         out = tmp_path / "matrix.csv"
         argv = ["distances", str(path), "--matrix", "-o", str(out)]
         assert main(argv) == 0  # warm
-        peak = _peak(lambda: main(argv))
+        _, peak = traced_peak(lambda: main(argv))
         golden = REPO / "src" / "vitamap" / "corpora" / "golden" / f"{corpus}.matrix.csv"
         assert out.read_bytes() == golden.read_bytes()
         assert peak < 96 * 1024

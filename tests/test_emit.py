@@ -9,7 +9,6 @@ import json
 import random
 import re
 import sys
-import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -58,7 +57,7 @@ from vitamap.model import (
 )
 from vitamap.vita import parse_biography, serialize_biography
 
-from strategies import biographies, counting_dates, geo_points
+from strategies import biographies, counting_dates, geo_points, traced_peak
 
 NS = {"kml": KML_NAMESPACE}
 
@@ -731,12 +730,7 @@ class TestComplexityGuards:
         # The rows and their join are each about the output's size; the
         # left cells still to be written go with the last row, before the join.
         b = spread_biography(MATRIX_PLACES)
-        tracemalloc.start()
-        try:
-            text = distance_matrix(b, GAZ)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(lambda: distance_matrix(b, GAZ))
         assert text.count("\n") == MATRIX_PLACES + 1
         assert peak < 2.3 * len(text)
 
@@ -745,12 +739,7 @@ class TestComplexityGuards:
         # not yet written: at most about a quarter of the cells, one byte a
         # character.
         b = spread_biography(MATRIX_PLACES)
-        tracemalloc.start()
-        try:
-            size = sum(map(len, matrix_records(itinerary_stops(b, GAZ))))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        size, peak = traced_peak(lambda: sum(map(len, matrix_records(itinerary_stops(b, GAZ)))))
         assert size == len(distance_matrix(b, GAZ))
         assert peak < 0.4 * size
 
@@ -763,12 +752,7 @@ class TestComplexityGuards:
             for e in generated_biography(3000).events
         ]
         b = simple_biography(*events)
-        tracemalloc.start()
-        try:
-            text = emitter(b, GAZ)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(lambda: emitter(b, GAZ))
         assert text.count("Café") == 3000
         assert peak < 2.6 * len(text)
 
@@ -784,12 +768,7 @@ class TestComplexityGuards:
         b = simple_biography(*events)
         legs = build_itinerary(b, GAZ)
         emit_itinerarium(legs, b, fmt)  # what only a first run allocates is not counted
-        tracemalloc.start()
-        try:
-            text = emit_itinerarium(legs, b, fmt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(lambda: emit_itinerarium(legs, b, fmt))
         assert text.count("Café") == 3000
         assert peak < multiple * len(text)
 

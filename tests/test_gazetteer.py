@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import string
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -32,7 +31,7 @@ from vitamap.model import (
     split_lines,
 )
 
-from strategies import sliced_lines
+from strategies import sliced_lines, traced_peak
 
 GIZA_ROW = "giza\tGiza\t29.9773\t31.1325\tEgypt"
 
@@ -240,12 +239,7 @@ class TestLoadGazetteerKeys:
             f"\t{(i * 104729 % 359999) / 1000 - 179.998:.6f}\tRegion {i % 17}\n"
             for i in range(20_000)
         )
-        tracemalloc.start()
-        try:
-            entries = load_gazetteer(source, {"site-12345"})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        entries, peak = traced_peak(lambda: load_gazetteer(source, {"site-12345"}))
         assert list(entries) == ["site-12345"]
         assert peak < 3 * len(source)
 

@@ -233,20 +233,38 @@ class TestLinePieces:
     def test_a_line_across_many_texts_is_split_at_most_twice(self, split_sizes):
         pieces = list(line_pieces(["x" * 10] * 1000 + ["\r", "abc"]))
         assert [line for piece in pieces for line in piece] == ["x" * 10_000, "abc"]
-        # At most at the CR, which may begin a CRLF, and at the text after it;
+        # The CR, which may begin a CRLF, is held back to the text after it;
         # the last split is the final line's.
         *touching, last = split_sizes
         assert len(touching) <= 2 and last == 3
 
     @pytest.mark.parametrize("size", [4, 7])
     def test_lone_crs_come_a_piece_per_text(self, split_sizes, size):
-        # Never held whole: each text with a CR in it ends a piece.
+        # Never held whole: a CR ends a piece by the next text at the latest.
         text = "abc\r" * 1000
         texts = [text[start : start + size] for start in range(0, len(text), size)]
         pieces = list(line_pieces(texts))
         assert [line for piece in pieces for line in piece] == split_lines(text)
         assert len(texts) <= len(pieces) <= len(texts) + 1
         assert max(split_sizes) <= size + 4
+
+    def test_no_text_is_held_while_the_next_is_drawn(self):
+        # A text is let go once its lines are split, so a reader never holds
+        # one read and the next at once.
+        text = "line\n" * 1000
+        freed = [0]
+
+        class Text(str):  # a str subclass can count its frees
+            def __del__(self):
+                freed[0] += 1
+
+        def texts():
+            for n, start in enumerate(range(0, len(text), 100)):
+                assert freed[0] == n
+                yield Text(text[start : start + 100])
+
+        pieces = list(line_pieces(texts()))
+        assert [line for piece in pieces for line in piece] == split_lines(text)
 
 
 class TestCalendar:

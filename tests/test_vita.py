@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import calendar
 import re
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ from vitamap.vita import (
     serialize_biography,
 )
 
-from strategies import biographies, long_timeline_text, sliced_lines
+from strategies import biographies, long_timeline_text, sliced_lines, traced_peak
 
 NEWTON_MINIMAL = """\
 [biography]
@@ -639,12 +638,7 @@ class TestParseMemory:
         # biography it builds, with its repeated values shared, and the
         # text it was given (not counted).
         text = long_timeline_text(3000)
-        tracemalloc.start()
-        try:
-            b = parse_biography(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        b, peak = traced_peak(lambda: parse_biography(text))
         assert len(b.events) == 3000 and len(text) > 20 * (1 << 12)
         assert peak <= 4.5 * len(text)
 
@@ -653,13 +647,13 @@ class TestParseMemory:
         # that fails is held to the bound of one that succeeds: it makes no
         # second copy of the source's lines.
         text = long_timeline_text(3000).replace("start = 1", "start = x1")
-        tracemalloc.start()
-        try:
+
+        def failing_parse():
             with pytest.raises(VitaParseError) as excinfo:
                 parse_biography(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return excinfo
+
+        excinfo, peak = traced_peak(failing_parse)
         found = excinfo.value.diagnostics
         last = found[-1]
         assert len(found) == 500 and last.line > text[: 1 << 12].count("\n") + 1
@@ -672,17 +666,9 @@ class TestParseMemory:
         # never holds a list of every line.
         text = long_timeline_text(3000)
         cr_text = text.replace("\n", "\r")
-
-        def peak(source: str) -> tuple[object, int]:
-            tracemalloc.start()
-            try:
-                return parse_biography(source), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         parse_biography(cr_text)  # warm
-        lf_biography, lf_peak = peak(text)
-        cr_biography, cr_peak = peak(cr_text)
+        lf_biography, lf_peak = traced_peak(lambda: parse_biography(text))
+        cr_biography, cr_peak = traced_peak(lambda: parse_biography(cr_text))
         assert cr_biography == lf_biography
         assert cr_peak <= 1.05 * lf_peak
 
