@@ -42,8 +42,14 @@ hint inside the biography file (relative to that file), then
 it then resolves to an empty gazetteer so fully inline-located files
 still compile.
 
-:func:`build_parser` builds only the subparser the first argument names:
-all six took as long as a whole ``stats`` run on a bundled corpus.
+A run whose first word names a subcommand is parsed by that subcommand's
+parser alone, built by the same :func:`_add_arguments` that fills its
+place in the parser of all six; the top-level parser would about double
+the cost of the parse. On any usage error it hands argv to the parser of
+all six, :func:`build_parser`, which parses it again and prints its own
+usage and message, as it does for a run that names no subcommand. So each
+usage error, help and version text is that parser's; a subcommand's
+``-h`` prints the same text from either parser.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import os
 import stat
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from functools import partial
 from itertools import chain, count
@@ -114,44 +120,58 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with the subparser ``argv[0]`` names, else with all six."""
-    wanted = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+class _HandOver(Exception):
+    """A usage error met by one subcommand's parser: the parser of all six
+    parses argv again, and prints its own usage and message."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of the one subcommand a run names."""
+
+    def error(self, message: str):
+        raise _HandOver(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all six subcommands."""
     parser = argparse.ArgumentParser(
         prog="vitamap",
         description="Compile biography timeline files into georeferenced outputs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # "unrecognized arguments" prints this usage line: name all six in it.
-    every = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in COMMANDS.items():
+        _add_arguments(name, sub.add_parser(name, help=help_text))
+    return parser
 
-    def command(name: str) -> argparse.ArgumentParser | None:
-        return sub.add_parser(name, help=COMMANDS[name]) if name in wanted else None
 
-    def input_command(
-        name: str, formatter: Formatter | None = None
-    ) -> argparse.ArgumentParser | None:
-        if not (p := command(name)):
-            return None
-        p.add_argument("input", help="path to a .vita biography file")
-        p.add_argument(
-            "--gazetteer",
-            help=(
-                "gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)"
-                if formatter is not None
-                else "accepted but not read: validate checks the biography without a gazetteer"
-            ),
-        )
-        p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-        if formatter is not None:
-            p.add_argument("-o", "--output", help="output path (default: stdout)")
-        p.set_defaults(func=partial(_run, formatter))
+def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments of subcommand ``name``, and its ``func``."""
+    if name == "geocode":
+        p.add_argument("name", help="place name to look up")
+        p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
+        p.set_defaults(func=cmd_geocode)
         return p
-
-    input_command("validate")
-
-    if p := input_command("compile", _compile):
+    formatter: Formatter | None = {
+        "validate": None,
+        "compile": _compile,
+        "itinerary": _itinerarium,
+        "distances": _distances,
+        "stats": _stats,
+    }[name]
+    p.add_argument("input", help="path to a .vita biography file")
+    p.add_argument(
+        "--gazetteer",
+        help=(
+            "gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)"
+            if formatter is not None
+            else "accepted but not read: validate checks the biography without a gazetteer"
+        ),
+    )
+    p.add_argument("--strict", action="store_true", help="treat warnings as errors")
+    if formatter is not None:
+        p.add_argument("-o", "--output", help="output path (default: stdout)")
+    if name == "compile":
         p.add_argument("--format", choices=("kml", "geojson"), default="kml")
         p.add_argument(
             "--buckets",
@@ -160,33 +180,35 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
             metavar="N",
             help="timeline color bucket count (default 5)",
         )
-
-    if p := input_command("itinerary", _itinerarium):
+    elif name in ("itinerary", "distances"):
         p.add_argument("--format", choices=("text", "csv"), default="text")
-
-    if p := input_command("distances", _distances):
-        p.add_argument("--format", choices=("text", "csv"), default="text")
+    if name == "distances":
         p.add_argument(
             "--matrix",
             action="store_true",
             help="emit a symmetric km matrix over distinct places (CSV)",
         )
+    p.set_defaults(func=partial(_run, formatter))
+    return p
 
-    input_command("stats", _stats)
 
-    if p := command("geocode"):
-        p.add_argument("name", help="place name to look up")
-        p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
-        p.set_defaults(func=cmd_geocode)
-
-    return parser
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` by the parser of the subcommand ``argv[0]`` names
+    alone. On a usage error, and when ``argv[0]`` names none, the parser
+    of all six parses it and prints what it prints: usage, help, version."""
+    if argv and argv[0] in COMMANDS:
+        parser = _CommandParser(prog=f"vitamap {argv[0]}")
+        _add_arguments(argv[0], parser).set_defaults(command=argv[0])
+        with suppress(_HandOver):
+            return parser.parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:

@@ -152,6 +152,8 @@ def bounding_box(points: list[GeoPoint]) -> BoundingBox:
 
 @dataclass(frozen=True)
 class RouteStats:
+    """Summary figures of one route, as :func:`route_stats` gives them."""
+
     event_count: int
     distinct_place_count: int
     first_start: CalendarDate

@@ -9,12 +9,14 @@ import io
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
 import warnings
 import weakref
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
 from functools import partial
@@ -567,7 +569,11 @@ class TestOutputs:
 
 
 def _cli(*args: str) -> list[str]:
-    return [sys.executable, "-m", "vitamap", *args]
+    """A command line that runs vitamap: ``VITAMAP_CLI`` (split as a shell
+    splits it) when set, say to an installed ``vitamap`` script, else this
+    Python's ``-m vitamap``."""
+    prefix = os.environ.get("VITAMAP_CLI")
+    return [*(shlex.split(prefix) if prefix else [sys.executable, "-m", "vitamap"]), *args]
 
 
 def _env(**extra: str) -> dict[str, str]:
@@ -833,7 +839,7 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
     assert result.stdout == "[]\n0 []\n"
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+def _parse(parse: Callable[[list[str]], argparse.Namespace], argv: list[str]) -> tuple:
     """stdout, stderr, exit code (None if parsed) and namespace of one parse.
 
     Each build makes its own partials, so ``func`` is compared by its args.
@@ -842,7 +848,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
     code = names = None
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            names = {k: getattr(v, "args", v) for k, v in vars(parser.parse_args(argv)).items()}
+            names = {k: getattr(v, "args", v) for k, v in vars(parse(argv)).items()}
         except SystemExit as exc:
             code = exc.code
     return out.getvalue(), err.getvalue(), code, names
@@ -858,12 +864,16 @@ def _every_option(parser: argparse.ArgumentParser) -> set[str]:
     return options
 
 
-_ARGV_WORDS = sorted({*COMMANDS, *_every_option(build_parser()), "--"})
+# Besides every option: words that the top-level parser matches against its
+# own -h and --version, after the subcommand's name too (--=x matches both).
+_ARGV_WORDS = sorted(
+    {*COMMANDS, *_every_option(build_parser()), "--", "--=x", "--v", "--he", "-hx"}
+)
 
 
 class TestSelectiveParser:
-    """build_parser(argv) builds only argv[0]'s subparser, and parses,
-    prints and exits exactly as the parser of all six does."""
+    """A run that names a subcommand is parsed by that subcommand's parser
+    alone; it parses, prints and exits exactly as the parser of all six."""
 
     @pytest.mark.parametrize("columns", ["40", "80", "200"])
     @pytest.mark.parametrize(
@@ -881,12 +891,13 @@ class TestSelectiveParser:
             ["compile", "x", "--buckets", "0"],
             ["compile", "x", "--format", "svg"],
             ["stats", "x", "--gaz", "g"],
+            ["stats", "x", "--=x"],
         ],
         ids=lambda argv: " ".join(argv) or "no-args",
     )
     def test_same_result_as_the_full_parser(self, argv, columns, monkeypatch):
         monkeypatch.setenv("COLUMNS", columns)
-        assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+        assert _parse(cli._parse_args, argv) == _parse(build_parser().parse_args, argv)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -895,9 +906,9 @@ class TestSelectiveParser:
     )
     def test_any_argv_same_result_as_the_full_parser(self, argv, columns):
         with mock.patch.dict(os.environ, {"COLUMNS": columns}):
-            assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+            assert _parse(cli._parse_args, argv) == _parse(build_parser().parse_args, argv)
 
-    def test_a_named_subcommand_builds_two_parsers(self, newton_path, monkeypatch, capsys):
+    def test_a_named_subcommand_builds_one_parser(self, newton_path, monkeypatch, capsys):
         monkeypatch.delenv("VITA_GAZETTEER", raising=False)
         built = []
         init = argparse.ArgumentParser.__init__
@@ -908,7 +919,15 @@ class TestSelectiveParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert main(["stats", str(newton_path), "--strict"]) == 0
-        assert built == ["vitamap", "vitamap stats"]
+        assert built == ["vitamap stats"]
+        capsys.readouterr()
+        # A usage error hands argv to the parser of all six, which reports it.
+        built.clear()
+        assert main(["stats", "x", "extra"]) == 2
+        assert built == ["vitamap stats", "vitamap", *(f"vitamap {name}" for name in COMMANDS)]
+        error = capsys.readouterr().err
+        assert error.startswith("usage: vitamap [-h] [--version]")
+        assert error.endswith("vitamap: error: unrecognized arguments: extra\n")
         assert main(["--help"]) == 0
         usage, listing = capsys.readouterr().out.split("positional arguments:")
         for name, help_text in COMMANDS.items():
@@ -924,15 +943,9 @@ class TestSelectiveParser:
 
     def test_console_run_usage_error_names_every_subcommand(self, newton_path, tmp_path):
         # Without argv, main reads sys.argv; the error's usage is --help's.
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
-
         def run(*argv: str) -> subprocess.CompletedProcess:
             return subprocess.run(
-                [sys.executable, "-m", "vitamap", *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=tmp_path,
+                _cli(*argv), capture_output=True, text=True, env=_env(COLUMNS="80"), cwd=tmp_path
             )
 
         error = run("stats", str(newton_path), "extra")
