@@ -45,11 +45,15 @@ still compile.
 A run whose first word names a subcommand is parsed by that subcommand's
 parser alone, built by the same :func:`_add_arguments` that fills its
 place in the parser of all six; the top-level parser would about double
-the cost of the parse. On any usage error it hands argv to the parser of
-all six, :func:`build_parser`, which parses it again and prints its own
-usage and message, as it does for a run that names no subcommand. So each
-usage error, help and version text is that parser's; a subcommand's
-``-h`` prints the same text from either parser.
+the cost of the parse. That parser never prints: it has no ``-h``, and
+its help formatter's width is fixed, so the terminal is never asked for
+its size. A usage error, ``-h`` and ``--help`` among them, hands argv to
+the parser of all six, :func:`build_parser`, which parses it again and
+prints its own usage, message or help, as it does for a run that names
+no subcommand. So every text the CLI prints about its arguments is that
+parser's. Paths stay the strings given; a diagnostic or read error
+names a file, and a run opens it, as ``str(pathlib.Path(path))`` spells
+it (:func:`_as_path`), so ``./x.vita`` prints as ``x.vita``.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from functools import partial
 from itertools import chain, count
-from pathlib import Path
 
 from . import __version__
 from .emit import EmitConfig, emit_itinerarium, geojson_records, kml_records, matrix_records
@@ -197,7 +200,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     alone. On a usage error, and when ``argv[0]`` names none, the parser
     of all six parses it and prints what it prints: usage, help, version."""
     if argv and argv[0] in COMMANDS:
-        parser = _CommandParser(prog=f"vitamap {argv[0]}")
+        # It never prints: -h is a usage error, and the formatter that
+        # add_argument builds each time needs no terminal size.
+        parser = _CommandParser(
+            prog=f"vitamap {argv[0]}",
+            add_help=False,
+            formatter_class=partial(argparse.HelpFormatter, width=80),
+        )
         _add_arguments(argv[0], parser).set_defaults(command=argv[0])
         with suppress(_HandOver):
             return parser.parse_args(argv[1:])
@@ -244,7 +253,7 @@ def _run(formatter: Formatter | None, args: argparse.Namespace) -> None:
 _READ = 1 << 12  # the bytes read from an input file at a time
 
 
-def _read_lines(path: Path, what: str) -> Iterator[str]:
+def _read_lines(path: str, what: str) -> Iterator[str]:
     """The lines of a UTF-8 file, as :func:`vitamap.model.split_lines`
     gives them, read _READ bytes at a time; the stdlib's ``utf-8-sig``
     decoder drops a leading BOM. A file that cannot be read or is not
@@ -253,7 +262,7 @@ def _read_lines(path: Path, what: str) -> Iterator[str]:
     return chain.from_iterable(_read_pieces(path, what))
 
 
-def _read_pieces(path: Path, what: str) -> Iterator[list[str]]:
+def _read_pieces(path: str, what: str) -> Iterator[list[str]]:
     bad: list[str] = []  # the decoder's reason, once it has met a bad byte
     line = 0  # the lines split so far: in the end, the bad byte's line
     for piece in line_pieces(_read_texts(path, what, bad)):
@@ -265,7 +274,7 @@ def _read_pieces(path: Path, what: str) -> Iterator[list[str]]:
         raise _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
 
 
-def _read_texts(path: Path, what: str, bad: list[str]) -> Iterator[str]:
+def _read_texts(path: str, what: str, bad: list[str]) -> Iterator[str]:
     """The text of a file, a read at a time. At a bad byte it puts the
     reason in ``bad`` and stops with the text before that byte."""
     try:
@@ -287,46 +296,58 @@ def _read_texts(path: Path, what: str, bad: list[str]) -> Iterator[str]:
             yield exc.object[: exc.start].decode("utf-8")
 
 
-def _unreadable(path: Path, what: str, exc: OSError | ValueError) -> _CliFailure:
+def _unreadable(path: str, what: str, exc: OSError | ValueError) -> _CliFailure:
     reason = getattr(exc, "strerror", None) or exc
     return _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {reason}")
 
 
-def _report(path: Path, diagnostics: list[Diagnostic], strict: bool = False) -> bool:
+def _report(path: str, diagnostics: list[Diagnostic], strict: bool = False) -> bool:
     """Print each finding; True if they stop the run (an error, or any when strict)."""
     for d in diagnostics:
         print(f"{d.severity} {path}:{d.line} {d.message}", file=sys.stderr)
     return any(strict or d.severity == "error" for d in diagnostics)
 
 
-def _fail(path: Path, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) -> _CliFailure:
+def _fail(path: str, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) -> _CliFailure:
     """Print the findings; the caller raises the failure returned."""
     _report(path, diagnostics)
     return _CliFailure(code)
 
 
-def _parse_and_validate(args: argparse.Namespace) -> tuple[Path, Biography]:
-    path = Path(args.input)
+def _as_path(text: str) -> str:
+    """``text`` as ``str(pathlib.Path(text))`` spells it on POSIX: no
+    empty or ``.`` parts, ``..`` kept, a root of two slashes when it
+    starts with exactly two and of one when with more, and ``.`` for
+    nothing. Unlike ``os.path.normpath``, it keeps ``a/../b``. The CLI
+    opens a file by the spelling it prints. This is POSIX's rule, not
+    Windows': the CLI is tested on Linux."""
+    leading = len(text) - len(text.lstrip("/"))
+    root = "//" if leading == 2 else "/" if leading else ""
+    return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
+
+
+def _parse_and_validate(args: argparse.Namespace) -> tuple[str, Biography]:
+    path = _as_path(args.input)
     try:
         biography = parse_biography(_read_lines(path, "input"))
     except VitaParseError as exc:
         raise _fail(path, exc.diagnostics)
-    if _report(path, validate_biography(biography, base_dir=path.parent), args.strict):
+    if _report(path, validate_biography(biography, base_dir=os.path.dirname(path)), args.strict):
         raise _CliFailure(EXIT_DOMAIN)
     return path, biography
 
 
 def _load_gazetteer_for(
-    args: argparse.Namespace, biography: Biography, input_path: Path
+    args: argparse.Namespace, biography: Biography, input_path: str
 ) -> Gazetteer:
     explicit = args.gazetteer or os.environ.get("VITA_GAZETTEER")
     if explicit:
-        gaz_path = Path(explicit)
+        gaz_path = _as_path(explicit)
     elif biography.gazetteer_hint is not None:
-        gaz_path = input_path.parent / biography.gazetteer_hint
+        gaz_path = _as_path(os.path.join(os.path.dirname(input_path), biography.gazetteer_hint))
     else:
-        gaz_path = Path("gazetteer.tsv")
-        if not gaz_path.exists():
+        gaz_path = "gazetteer.tsv"
+        if not os.path.exists(gaz_path):
             return {}
     # Every row is still checked; entries are built for the places used only.
     used = {e.key for e in biography.events if e.key is not None}
@@ -378,10 +399,10 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
             return
         # A symlink's file is replaced and the link kept; realpath, a stat per
         # part of the path, runs only for a link.
-        target = Path(os.path.realpath(output) if os.path.islink(output) else output)
+        target = _as_path(os.path.realpath(output) if os.path.islink(output) else output)
         for n in count():
             # Not named after the target: a name of 255 bytes is valid too.
-            tmp = target.parent / f".vitamap.{n}.tmp"
+            tmp = os.path.join(os.path.dirname(target), f".vitamap.{n}.tmp")
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 break

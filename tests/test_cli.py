@@ -10,6 +10,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import stat
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
 from functools import partial
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from unittest import mock
 
 import pytest
@@ -149,6 +150,30 @@ class TestStreamDiscipline:
     def test_unreadable_input_message(self, workspace, capsys):
         assert main(["validate", str(workspace / "missing.vita")]) == 2
         assert "cannot read input" in capsys.readouterr().err
+
+    def test_paths_print_as_pathlib_spells_them(self, workspace, monkeypatch, capsys):
+        monkeypatch.chdir(workspace)
+        (workspace / "sub").mkdir()
+        (workspace / "sub" / "broken.vita").write_text("[event]\nid = ?\n", encoding="utf-8")
+        spelled = {"./broken.vita": "broken.vita", "sub//broken.vita": "sub/broken.vita"}
+        for given, shown in spelled.items():
+            assert main(["validate", given]) == 1
+            assert capsys.readouterr().err.startswith(f"error {shown}:1 ")
+        (workspace / "hint.vita").write_text(
+            OK_VITA.replace("= gazetteer.tsv", "= sub//g.tsv"), encoding="utf-8"
+        )
+        assert main(["stats", "./hint.vita"]) == 2
+        assert capsys.readouterr().err == (
+            "cannot read gazetteer 'sub/g.tsv': No such file or directory\n"
+        )
+        (workspace / "sub" / "g.tsv").write_text("home\tHome\t95\t20\t\n", encoding="utf-8")
+        assert main(["stats", "./hint.vita"]) == 1
+        assert capsys.readouterr().err.startswith("error sub/g.tsv:1 ")
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(["/", ".", "..", "a", "é", " "])).map("".join))
+    def test_a_path_is_spelled_as_pathlib_spells_it(self, text):
+        assert cli._as_path(text) == str(PurePosixPath(text))
 
     def test_nul_byte_in_input_path_is_usage_error(self, capsys):
         assert main(["stats", "a\x00b.vita"]) == 2
@@ -815,19 +840,21 @@ def test_cli_import_skips_urllib_request(tmp_path):
 def test_cli_import_skips_calendar_and_locale(tmp_path):
     # -S keeps site-wide preloads out, so sys.modules holds only what
     # importing vitamap.cli pulls in. tempfile (with shutil, random, bz2
-    # and lzma) is not needed; json is for GeoJSON only, and no CSV is
-    # written through csv. Later 3.13 releases import typing from
-    # inspect, which dataclasses imports; so only what vitamap adds after
-    # dataclasses counts.
+    # and lzma) is not needed, nor pathlib (with fnmatch, ipaddress,
+    # ntpath and urllib.parse); json is for GeoJSON only, and no CSV is
+    # written through csv. A run asks no terminal size of shutil. Later
+    # 3.13 releases import typing from inspect, which dataclasses imports;
+    # so only what vitamap adds after dataclasses counts.
     corpus = REPO / "src" / "vitamap" / "corpora" / "newton.vita"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dataclasses; "
         "before = set(sys.modules); import vitamap.cli; "
         "print(sorted({'calendar', 'locale', 'tempfile', 'shutil', 'random', 'bz2', 'lzma',"
-        " 'typing', 'csv', 'json'} & (set(sys.modules) - before))); "
+        " 'typing', 'csv', 'json', 'fnmatch', 'ipaddress', 'ntpath', 'pathlib', 'urllib',"
+        " 'urllib.parse'} & (set(sys.modules) - before))); "
         "code = vitamap.cli.main(['distances', sys.argv[2], '--matrix', '-o', 'matrix.csv']); "
         "code += vitamap.cli.main(['itinerary', sys.argv[2], '--format', 'csv', '-o', 'i.csv']); "
-        "print(code, sorted({'csv', 'json'} & (set(sys.modules) - before)))"
+        "print(code, sorted({'csv', 'json', 'shutil', 'pathlib'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(REPO / "src"), str(corpus)],
@@ -867,7 +894,11 @@ def _every_option(parser: argparse.ArgumentParser) -> set[str]:
 # Besides every option: words that the top-level parser matches against its
 # own -h and --version, after the subcommand's name too (--=x matches both).
 _ARGV_WORDS = sorted(
-    {*COMMANDS, *_every_option(build_parser()), "--", "--=x", "--v", "--he", "-hx"}
+    {
+        *COMMANDS,
+        *_every_option(build_parser()),
+        *("--", "--=x", "--v", "-h", "--h", "--he", "-hx", "-o-h"),
+    }
 )
 
 
@@ -880,6 +911,10 @@ class TestSelectiveParser:
         "argv",
         [
             *([name, "-h"] for name in COMMANDS),
+            *([name, "x", "-h"] for name in COMMANDS),
+            ["stats", "x", "--h"],
+            ["compile", "x", "-o", "-h"],
+            ["stats", "--", "-h"],
             ["--version"],
             [],
             ["bogus"],
@@ -911,16 +946,30 @@ class TestSelectiveParser:
     def test_a_named_subcommand_builds_one_parser(self, newton_path, monkeypatch, capsys):
         monkeypatch.delenv("VITA_GAZETTEER", raising=False)
         built = []
+        parsers = []
         init = argparse.ArgumentParser.__init__
 
         def counted(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
+            parsers.append(self)
             init(self, *args, **kwargs)
 
+        def sized(*args, **kwargs):
+            raise AssertionError("the terminal's size was asked for")
+
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        assert main(["stats", str(newton_path), "--strict"]) == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(shutil, "get_terminal_size", sized)
+            assert main(["stats", str(newton_path), "--strict"]) == 0
         assert built == ["vitamap stats"]
+        # It never prints, so it has no -h.
+        assert "-h" not in parsers[0]._option_string_actions
         capsys.readouterr()
+        # -h is a usage error to it: the parser of all six prints the help.
+        built.clear()
+        assert main(["stats", "-h"]) == 0
+        assert built == ["vitamap stats", "vitamap", *(f"vitamap {name}" for name in COMMANDS)]
+        assert capsys.readouterr().out.startswith("usage: vitamap stats [-h] [--gazetteer")
         # A usage error hands argv to the parser of all six, which reports it.
         built.clear()
         assert main(["stats", "x", "extra"]) == 2
