@@ -14,9 +14,15 @@ biography, the gazetteer's key index, one 4 KiB read, one record and
 the write buffer: never a whole input file, and never a whole document
 (KML, GeoJSON and the matrix; the smaller itinerary and stats texts are
 one record each). Each finding arrives located by the code that found
-it (parser, gazetteer loader, validator or place resolution);
-:func:`_report` only renders it. A warning about the whole route, such
-as a box across the antimeridian, points at the first event.
+it (parser, gazetteer loader, validator, place resolution, or the reader
+at a byte that is not UTF-8). A warning about the whole route, such as a
+box across the antimeridian, points at the first event. Findings that
+stop the run, an error or any finding under ``--strict``, ride the
+failure, :class:`_CliFailure`, to :func:`main`, which prints them and
+then the failure's message; the reader, like every other raise site,
+never prints. Findings that let the run go on are printed before the
+first byte is written. Both go through :func:`_render`, the one renderer
+of a finding.
 
 Exit codes follow one discipline across all subcommands: 0 success,
 1 domain failure (validation or place resolution), 2 usage or I/O
@@ -52,8 +58,10 @@ the parser of all six, :func:`build_parser`, which parses it again and
 prints its own usage, message or help, as it does for a run that names
 no subcommand. So every text the CLI prints about its arguments is that
 parser's. Paths stay the strings given; a diagnostic or read error
-names a file, and a run opens it, as ``str(pathlib.Path(path))`` spells
-it (:func:`_as_path`), so ``./x.vita`` prints as ``x.vita``.
+names an input or gazetteer file, and a run opens it, as
+``str(pathlib.Path(path))`` spells it (:func:`_as_path`), so ``./x.vita``
+prints as ``x.vita``. An ``-o`` path is written as given: ``-o d/`` never
+writes a file ``d``.
 """
 
 from __future__ import annotations
@@ -96,9 +104,15 @@ Formatter = Callable[[argparse.Namespace, Biography, Gazetteer], Iterable[str]]
 
 
 class _CliFailure(Exception):
-    def __init__(self, code: int, message: str | None = None):
+    """A run's end: :func:`main` prints its findings on ``path``, then its message."""
+
+    def __init__(
+        self, code: int, message: str = "", path: str = "", diagnostics: Iterable[Diagnostic] = ()
+    ):
         self.code = code
         self.message = message
+        self.path = path
+        self.diagnostics = diagnostics
         super().__init__(message or f"exit {code}")
 
 
@@ -223,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except _CliFailure as failure:
+        _render(failure.path, failure.diagnostics)
         if failure.message:
             print(failure.message, file=sys.stderr)
         return failure.code
@@ -243,10 +258,10 @@ def _run(formatter: Formatter | None, args: argparse.Namespace) -> None:
         try:
             records = formatter(args, biography, gazetteer)
         except UnknownPlace as exc:
-            raise _fail(input_path, [Diagnostic("error", exc.event_id, str(exc), exc.line)])
+            found = [Diagnostic("error", exc.event_id, str(exc), exc.line)]
+            raise _CliFailure(EXIT_DOMAIN, path=input_path, diagnostics=found)
     found = [Diagnostic("warning", None, str(w.message), biography.events[0].line) for w in caught]
-    if _report(input_path, found, args.strict):
-        raise _CliFailure(EXIT_DOMAIN)
+    _report(input_path, found, args.strict)
     _write_output(records, args.output)
 
 
@@ -270,8 +285,8 @@ def _read_pieces(path: str, what: str) -> Iterator[list[str]]:
         yield piece
         del piece  # not held while the next text is read
     if bad:
-        message = f"{what} is not valid UTF-8 ({bad[0]})"
-        raise _fail(path, [Diagnostic("error", None, message, line)], EXIT_USAGE)
+        found = [Diagnostic("error", None, f"{what} is not valid UTF-8 ({bad[0]})", line)]
+        raise _CliFailure(EXIT_USAGE, path=path, diagnostics=found)
 
 
 def _read_texts(path: str, what: str, bad: list[str]) -> Iterator[str]:
@@ -301,17 +316,18 @@ def _unreadable(path: str, what: str, exc: OSError | ValueError) -> _CliFailure:
     return _CliFailure(EXIT_USAGE, f"cannot read {what} '{path}': {reason}")
 
 
-def _report(path: str, diagnostics: list[Diagnostic], strict: bool = False) -> bool:
-    """Print each finding; True if they stop the run (an error, or any when strict)."""
+def _render(path: str, diagnostics: Iterable[Diagnostic]) -> None:
+    """Print each finding on ``path``, one line each: the one renderer."""
     for d in diagnostics:
         print(f"{d.severity} {path}:{d.line} {d.message}", file=sys.stderr)
-    return any(strict or d.severity == "error" for d in diagnostics)
 
 
-def _fail(path: str, diagnostics: list[Diagnostic], code: int = EXIT_DOMAIN) -> _CliFailure:
-    """Print the findings; the caller raises the failure returned."""
-    _report(path, diagnostics)
-    return _CliFailure(code)
+def _report(path: str, diagnostics: list[Diagnostic], strict: bool) -> None:
+    """Fail the run with the findings if they stop it (an error, or any
+    when strict); else print them, before the first byte is written."""
+    if any(strict or d.severity == "error" for d in diagnostics):
+        raise _CliFailure(EXIT_DOMAIN, path=path, diagnostics=diagnostics)
+    _render(path, diagnostics)
 
 
 def _as_path(text: str) -> str:
@@ -331,9 +347,8 @@ def _parse_and_validate(args: argparse.Namespace) -> tuple[str, Biography]:
     try:
         biography = parse_biography(_read_lines(path, "input"))
     except VitaParseError as exc:
-        raise _fail(path, exc.diagnostics)
-    if _report(path, validate_biography(biography, base_dir=os.path.dirname(path)), args.strict):
-        raise _CliFailure(EXIT_DOMAIN)
+        raise _CliFailure(EXIT_DOMAIN, path=path, diagnostics=exc.diagnostics)
+    _report(path, validate_biography(biography, base_dir=os.path.dirname(path)), args.strict)
     return path, biography
 
 
@@ -354,7 +369,7 @@ def _load_gazetteer_for(
     try:
         return load_gazetteer(_read_lines(gaz_path, "gazetteer"), used)
     except GazetteerParseError as exc:
-        raise _fail(gaz_path, exc.diagnostics)
+        raise _CliFailure(EXIT_DOMAIN, path=gaz_path, diagnostics=exc.diagnostics)
 
 
 _SLICE = 1 << 14  # the most code points encoded at once, and the -o file's buffer in bytes
@@ -399,7 +414,7 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
             return
         # A symlink's file is replaced and the link kept; realpath, a stat per
         # part of the path, runs only for a link.
-        target = _as_path(os.path.realpath(output) if os.path.islink(output) else output)
+        target = os.path.realpath(output) if os.path.islink(output) else output
         for n in count():
             # Not named after the target: a name of 255 bytes is valid too.
             tmp = os.path.join(os.path.dirname(target), f".vitamap.{n}.tmp")
@@ -476,7 +491,3 @@ def cmd_geocode(args: argparse.Namespace) -> None:
     except GeocoderError as exc:
         raise _CliFailure(EXIT_DOMAIN, f"error: {exc}")
     _write_output(gazetteer_row(entry) + "\n", None)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

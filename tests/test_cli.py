@@ -133,6 +133,14 @@ class TestStreamDiscipline:
         assert "overlapping residences" in captured.err
         assert "overlapping" not in captured.out
 
+    def test_warning_prints_before_a_failed_write(self, workspace, capsys):
+        out = workspace / "no-dir" / "overlap.txt"
+        assert main(["stats", vita(workspace, "overlap"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"warning {vita(workspace, 'overlap')}:13 overlapping residences: 'start' and 'move'\n"
+            f"cannot write output '{out}': {os.strerror(errno.ENOENT)}\n"
+        )
+
     def test_diagnostic_format(self, workspace, capsys):
         main(["validate", vita(workspace, "dup")])
         err = capsys.readouterr().err
@@ -357,6 +365,12 @@ class TestStrict:
         out = str(tmp_path / "x.kml")
         assert main(["compile", vita(workspace, "overlap"), "-o", out, "--strict"]) == 1
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("corpus", ["newton", "schiaparelli"])
+    def test_corpora_pass_strict_validation(self, newton_path, capsys, corpus):
+        path = newton_path.parent / f"{corpus}.vita"
+        assert main(["validate", "--strict", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 class TestGazetteerPrecedence:
@@ -635,7 +649,12 @@ class TestStdoutBytes:
             encoding="utf-8",
         )
         out = workspace / "out"
-        for command in (["compile"], ["compile", "--format", "geojson"], ["itinerary", "--format", "csv"]):
+        for command in (
+            ["compile"],
+            ["compile", "--format", "geojson"],
+            ["itinerary", "--format", "csv"],
+            ["distances", "--matrix"],
+        ):
             written = subprocess.run(_cli(*command, str(path), "-o", str(out)), env=_env(), cwd=workspace)
             assert written.returncode == 0
             done = subprocess.run(
@@ -646,7 +665,8 @@ class TestStdoutBytes:
             )
             assert (done.returncode, done.stderr) == (0, b"")
             assert done.stdout == out.read_bytes()
-            assert "Café 東京".encode() in done.stdout
+            if command[0] != "distances":  # the matrix is labelled by place keys alone
+                assert "Café 東京".encode() in done.stdout
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize("command", ["stats", "compile"])
@@ -778,6 +798,17 @@ class TestOutputTarget:
             assert stat.S_IMODE(real.stat().st_mode) == 0o640
         assert sorted(p.name for p in tmp_path.glob(".*.tmp")) == []
 
+    @pytest.mark.parametrize("output", ["nd/", ""], ids=["slash", "empty"])
+    def test_trailing_slash_is_not_dropped(
+        self, newton_path, tmp_path, monkeypatch, capsys, output
+    ):
+        # As open(path, "w") takes it: "nd/" names a folder, never a file nd.
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", str(newton_path), "-o", output]) == 2
+        message = f"cannot write output '{output}': {os.strerror(errno.ENOENT)}\n"
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
+
     def test_symlink_loop_is_an_io_error(self, newton_path, tmp_path, capsys):
         link = tmp_path / "loop.kml"
         link.symlink_to(link.name)
@@ -819,8 +850,8 @@ def test_module_entry_point(newton_path, tmp_path):
         env=env,
         cwd=tmp_path,
     )
-    assert result.returncode == 0
-    assert "span: 1643..1727" in result.stdout
+    golden = newton_path.parent / "golden" / "newton.stats.txt"
+    assert (result.returncode, result.stdout, result.stderr) == (0, golden.read_text("utf-8"), "")
 
 
 def test_cli_import_skips_urllib_request(tmp_path):
@@ -1289,6 +1320,17 @@ class TestReadPieces:
         drawn = sum(1 for _ in cli._read_lines(path, "input"))
         assert drawn == len(split_lines(path.read_text(encoding="utf-8")))
         assert len(pieces) > 8
+
+    def test_bad_byte_is_a_failure_that_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "bad.vita"
+        path.write_bytes(b"[biography]\ntitle = T\nid = \xff\n")
+        with pytest.raises(cli._CliFailure) as raised:
+            list(cli._read_lines(str(path), "input"))
+        failure = raised.value
+        assert (failure.code, failure.path, failure.message) == (2, str(path), "")
+        finding = model.Diagnostic("error", None, "input is not valid UTF-8 (invalid start byte)", 3)
+        assert list(failure.diagnostics) == [finding]
+        assert capsys.readouterr() == ("", "")
 
 
 class _Spy(io.BytesIO):
