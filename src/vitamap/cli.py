@@ -1,28 +1,26 @@
 """Command line front end: parse, validate, resolve and order, emit.
 
 One driver, :func:`_run`, runs every subcommand that reads a biography:
-it parses the input, reports validation findings, loads the gazetteer,
-calls the subcommand's formatter ``(args, biography, gazetteer) ->
-records`` and writes the records as they are drawn; ``validate`` stops
-after the parse-and-validate step. The input and the gazetteer are read
-4 KiB at a time and decoded by the stdlib's ``utf-8-sig`` decoder, which
-drops a leading BOM; their lines are handed on as they are decoded. A
-formatter resolves and orders, by :func:`vitamap.geo.itinerary_stops`,
-before it returns, so every finding and warning is reported before the
-first byte is written. So a run validates and resolves once, and holds the
-biography, the gazetteer's key index, one 4 KiB read, one record and
+it parses the input, reports validation findings (``validate`` stops
+there), loads the gazetteer and writes the records of :func:`_records`
+as they are drawn. :func:`_records` resolves and orders, by
+:func:`vitamap.geo.itinerary_stops`, before it returns, so every finding
+and warning is reported before the first byte is written. The input and
+the gazetteer are read 4 KiB at a time and decoded by the stdlib's
+``utf-8-sig`` decoder, which drops a leading BOM; their lines are handed
+on as they are decoded. So a run validates and resolves once, and holds
+the biography, the gazetteer's key index, one 4 KiB read, one record and
 the write buffer: never a whole input file, and never a whole document
 (KML, GeoJSON and the matrix; the smaller itinerary and stats texts are
-one record each). Each finding arrives located by the code that found
-it (parser, gazetteer loader, validator, place resolution, or the reader
-at a byte that is not UTF-8). A warning about the whole route, such as a
+one record each). Each finding arrives located by the code that found it
+(parser, gazetteer loader, validator, place resolution, or the reader at
+a byte that is not UTF-8). A warning about the whole route, such as a
 box across the antimeridian, points at the first event. Findings that
 stop the run, an error or any finding under ``--strict``, ride the
 failure, :class:`_CliFailure`, to :func:`main`, which prints them and
 then the failure's message; the reader, like every other raise site,
-never prints. Findings that let the run go on are printed before the
-first byte is written. Both go through :func:`_render`, the one renderer
-of a finding.
+never prints. Findings that let the run go on are printed; both go
+through :func:`_render`, the one renderer of a finding.
 
 Exit codes follow one discipline across all subcommands: 0 success,
 1 domain failure (validation or place resolution), 2 usage or I/O
@@ -73,7 +71,7 @@ import os
 import stat
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from functools import partial
 from itertools import chain, count
@@ -98,9 +96,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 Gazetteer = dict[str, GazetteerEntry]
-# A formatter resolves and orders, then returns the records to write (a str
-# is one record); drawing them only formats, and raises and warns of nothing.
-Formatter = Callable[[argparse.Namespace, Biography, Gazetteer], Iterable[str]]
 
 
 class _CliFailure(Exception):
@@ -163,30 +158,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Give ``p`` the arguments of subcommand ``name``, and its ``func``."""
+    """Give ``p`` the arguments of subcommand ``name``."""
     if name == "geocode":
         p.add_argument("name", help="place name to look up")
         p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
-        p.set_defaults(func=cmd_geocode)
         return p
-    formatter: Formatter | None = {
-        "validate": None,
-        "compile": _compile,
-        "itinerary": _itinerarium,
-        "distances": _distances,
-        "stats": _stats,
-    }[name]
     p.add_argument("input", help="path to a .vita biography file")
     p.add_argument(
         "--gazetteer",
         help=(
-            "gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)"
-            if formatter is not None
-            else "accepted but not read: validate checks the biography without a gazetteer"
+            "accepted but not read: validate checks the biography without a gazetteer"
+            if name == "validate"
+            else "gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)"
         ),
     )
     p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-    if formatter is not None:
+    if name != "validate":
         p.add_argument("-o", "--output", help="output path (default: stdout)")
     if name == "compile":
         p.add_argument("--format", choices=("kml", "geojson"), default="kml")
@@ -205,7 +192,6 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentPa
             action="store_true",
             help="emit a symmetric km matrix over distinct places (CSV)",
         )
-    p.set_defaults(func=partial(_run, formatter))
     return p
 
 
@@ -235,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        args.func(args)
+        (cmd_geocode if args.command == "geocode" else _run)(args)
     except _CliFailure as failure:
         _render(failure.path, failure.diagnostics)
         if failure.message:
@@ -248,21 +234,55 @@ def main(argv: list[str] | None = None) -> int:
 # The run driver
 
 
-def _run(formatter: Formatter | None, args: argparse.Namespace) -> None:
-    input_path, biography = _parse_and_validate(args)
-    if formatter is None:  # validate: the biography alone, no gazetteer
+def _run(args: argparse.Namespace) -> None:
+    input_path = _as_path(args.input)
+    try:
+        biography = parse_biography(_read_lines(input_path, "input"))
+    except VitaParseError as exc:
+        raise _CliFailure(EXIT_DOMAIN, path=input_path, diagnostics=exc.diagnostics)
+    found = validate_biography(biography, base_dir=os.path.dirname(input_path))
+    _report(input_path, found, args.strict)
+    if args.command == "validate":  # the biography alone, no gazetteer
         return
     gazetteer = _load_gazetteer_for(args, biography, input_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = formatter(args, biography, gazetteer)
+            records = _records(args, biography, gazetteer)
         except UnknownPlace as exc:
             found = [Diagnostic("error", exc.event_id, str(exc), exc.line)]
             raise _CliFailure(EXIT_DOMAIN, path=input_path, diagnostics=found)
     found = [Diagnostic("warning", None, str(w.message), biography.events[0].line) for w in caught]
     _report(input_path, found, args.strict)
     _write_output(records, args.output)
+
+
+def _records(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> Iterable[str]:
+    """The records the command writes, resolved and ordered before it returns:
+    a str is one record, and drawing them only formats, raising and warning of nothing."""
+    command = args.command
+    if command == "stats":
+        stats = route_stats(build_itinerary(biography, gazetteer), biography)
+        box = stats.box
+        lines = [
+            f"event_count: {stats.event_count}",
+            f"distinct_place_count: {stats.distinct_place_count}",
+            f"span: {stats.first_start.year}..{stats.last_end.year}",
+            f"total_km: {stats.total_km:.3f}",
+            (
+                f"box: lat {box.min_lat:.6f}..{box.max_lat:.6f}, "
+                f"lon {box.min_lon:.6f}..{box.max_lon:.6f}"
+            ),
+        ]
+        return "\n".join(lines) + "\n"
+    if command == "itinerary" or (command == "distances" and not args.matrix):
+        return emit_itinerarium(build_itinerary(biography, gazetteer), biography, args.format)
+    stops = itinerary_stops(biography, gazetteer)
+    if command == "distances":
+        return matrix_records(stops)
+    if args.format == "geojson":
+        return geojson_records(stops)
+    return kml_records(biography.title, stops, EmitConfig(bucket_count=args.buckets))
 
 
 _READ = 1 << 12  # the bytes read from an input file at a time
@@ -342,16 +362,6 @@ def _as_path(text: str) -> str:
     return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
 
 
-def _parse_and_validate(args: argparse.Namespace) -> tuple[str, Biography]:
-    path = _as_path(args.input)
-    try:
-        biography = parse_biography(_read_lines(path, "input"))
-    except VitaParseError as exc:
-        raise _CliFailure(EXIT_DOMAIN, path=path, diagnostics=exc.diagnostics)
-    _report(path, validate_biography(biography, base_dir=os.path.dirname(path)), args.strict)
-    return path, biography
-
-
 def _load_gazetteer_for(
     args: argparse.Namespace, biography: Biography, input_path: str
 ) -> Gazetteer:
@@ -402,6 +412,8 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
             sys.stdout.flush()
             _write_utf8(records, sys.stdout.buffer)
             return
+        if not output:  # as open("", "w") fails, before a record is drawn
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
         try:
             mode = os.stat(output).st_mode  # an existing output keeps its mode
         except FileNotFoundError:  # a dangling symlink too: its file is new
@@ -440,47 +452,6 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         name = "<stdout>" if output is None else output
         raise _CliFailure(EXIT_USAGE, f"cannot write output '{name}': {exc.strerror or exc}")
-
-
-# ---------------------------------------------------------------------------
-# Formatters: (args, biography, gazetteer) -> the records to write
-
-
-def _compile(
-    args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer
-) -> Iterable[str]:
-    stops = itinerary_stops(biography, gazetteer)
-    if args.format == "geojson":
-        return geojson_records(stops)
-    return kml_records(biography.title, stops, EmitConfig(bucket_count=args.buckets))
-
-
-def _itinerarium(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
-    return emit_itinerarium(build_itinerary(biography, gazetteer), biography, args.format)
-
-
-def _distances(
-    args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer
-) -> Iterable[str]:
-    if args.matrix:
-        return matrix_records(itinerary_stops(biography, gazetteer))
-    return _itinerarium(args, biography, gazetteer)
-
-
-def _stats(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> str:
-    stats = route_stats(build_itinerary(biography, gazetteer), biography)
-    box = stats.box
-    lines = [
-        f"event_count: {stats.event_count}",
-        f"distinct_place_count: {stats.distinct_place_count}",
-        f"span: {stats.first_start.year}..{stats.last_end.year}",
-        f"total_km: {stats.total_km:.3f}",
-        (
-            f"box: lat {box.min_lat:.6f}..{box.max_lat:.6f}, "
-            f"lon {box.min_lon:.6f}..{box.max_lon:.6f}"
-        ),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_geocode(args: argparse.Namespace) -> None:

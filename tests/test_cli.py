@@ -488,6 +488,10 @@ class TestOutputs:
         assert code == 0
         golden = schiaparelli_path.parent / "golden" / "schiaparelli.geojson"
         assert out.read_bytes() == golden.read_bytes()
+        # --buckets styles the KML only.
+        argv = ["compile", str(schiaparelli_path), "--format", "geojson", "--buckets", "1"]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_compile_geojson_escapes_match_fixture(self, tmp_path, capsys):
         # Quotes, backslashes, tabs, C0 controls, U+2028 and emoji in free text.
@@ -580,12 +584,19 @@ class TestOutputs:
         assert main(["distances", str(schiaparelli_path), "--format", fmt]) == 0
         assert capsys.readouterr().out == itinerary
 
-    def test_distances_matrix(self, workspace, capsys):
-        assert main(["distances", vita(workspace, "ok"), "--matrix"]) == 0
-        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    @pytest.mark.parametrize(
+        "options", [[], ["--format", "text"], ["--format", "csv"]], ids=["none", "text", "csv"]
+    )
+    def test_distances_matrix(self, workspace, capsysbinary, options):
+        # The matrix is CSV whatever --format says.
+        assert main(["distances", vita(workspace, "ok"), "--matrix", *options]) == 0
+        matrix = capsysbinary.readouterr().out
+        rows = list(csv.reader(io.StringIO(matrix.decode("utf-8"))))
         assert rows[0] == ["place", "home", "away"]
         assert rows[1][1] == "0.000" and rows[2][2] == "0.000"
         assert rows[1][2] == rows[2][1] != "0.000"
+        assert main(["distances", vita(workspace, "ok"), "--matrix"]) == 0
+        assert capsysbinary.readouterr().out == matrix
 
     def test_stats_lines(self, workspace, capsys):
         assert main(["stats", vita(workspace, "ok")]) == 0
@@ -809,6 +820,32 @@ class TestOutputTarget:
         assert capsys.readouterr().err == message
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_path_fails_before_a_record_is_drawn(
+        self, newton_path, tmp_path, monkeypatch, capsys
+    ):
+        # No document is formatted, and no temporary file made, for a name
+        # that can never be written.
+        drawn, opened = [], []
+        kml_records, os_open = cli.kml_records, os.open
+
+        def counted(*args):
+            for record in kml_records(*args):
+                drawn.append(record)
+                yield record
+
+        def spied_open(path, *args):
+            opened.append(path)
+            return os_open(path, *args)
+
+        monkeypatch.setattr(cli, "kml_records", counted)
+        monkeypatch.setattr(cli.os, "open", spied_open)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compile", str(newton_path), "-o", ""]) == 2
+        message = f"cannot write output '': {os.strerror(errno.ENOENT)}\n"
+        assert capsys.readouterr().err == message
+        assert drawn == [] and opened == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_symlink_loop_is_an_io_error(self, newton_path, tmp_path, capsys):
         link = tmp_path / "loop.kml"
         link.symlink_to(link.name)
@@ -898,15 +935,12 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
 
 
 def _parse(parse: Callable[[list[str]], argparse.Namespace], argv: list[str]) -> tuple:
-    """stdout, stderr, exit code (None if parsed) and namespace of one parse.
-
-    Each build makes its own partials, so ``func`` is compared by its args.
-    """
+    """stdout, stderr, exit code (None if parsed) and namespace of one parse."""
     out, err = io.StringIO(), io.StringIO()
     code = names = None
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            names = {k: getattr(v, "args", v) for k, v in vars(parse(argv)).items()}
+            names = vars(parse(argv))
         except SystemExit as exc:
             code = exc.code
     return out.getvalue(), err.getvalue(), code, names
