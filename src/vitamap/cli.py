@@ -46,17 +46,14 @@ hint inside the biography file (relative to that file), then
 it then resolves to an empty gazetteer so fully inline-located files
 still compile.
 
-A run whose first word names a subcommand is parsed by that subcommand's
-parser alone, built by the same :func:`_add_arguments` that fills its
-place in the parser of all six; the top-level parser would about double
-the cost of the parse. That parser never prints: it has no ``-h``, and
-its help formatter's width is fixed, so the terminal is never asked for
-its size. A usage error, ``-h`` and ``--help`` among them, hands argv to
-the parser of all six, :func:`build_parser`, which parses it again and
-prints its own usage, message or help, as it does for a run that names
-no subcommand. So every text the CLI prints about its arguments is that
-parser's. Paths stay the strings given; a diagnostic or read error
-names an input or gazetteer file, and a run opens it, as
+A plain run, a subcommand's name and then only its whole option strings,
+their values and one positional, is parsed by :func:`_plain_args`
+without argparse, from the same :func:`_add_arguments` that fills the
+parser of all six, :func:`build_parser`. Any other argv, ``-h`` and
+every usage error among them, is parsed by that parser, built (and
+argparse imported) only then; so every text the CLI prints about its
+arguments is that parser's. Paths stay the strings given; a diagnostic
+or read error names an input or gazetteer file, and a run opens it, as
 ``str(pathlib.Path(path))`` spells it (:func:`_as_path`), so ``./x.vita``
 prints as ``x.vita``. An ``-o`` path is written as given: ``-o d/`` never
 writes a file ``d``.
@@ -64,7 +61,6 @@ writes a file ``d``.
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import errno
 import os
@@ -75,6 +71,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from functools import partial
 from itertools import chain, count
+from types import SimpleNamespace
 
 from . import __version__
 from .emit import EmitConfig, emit_itinerarium, geojson_records, kml_records, matrix_records
@@ -113,12 +110,14 @@ class _CliFailure(Exception):
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        if int(text) >= 1:
+            return int(text)
+        message = "must be at least 1"
     except ValueError:  # as type=int words it; argparse would name this function
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+        message = f"invalid int value: {text!r}"
+    from argparse import ArgumentTypeError  # only a refused value needs argparse
+
+    raise ArgumentTypeError(message)
 
 
 # Every subcommand, in help order, with its one-line help.
@@ -132,20 +131,10 @@ COMMANDS = {
 }
 
 
-class _HandOver(Exception):
-    """A usage error met by one subcommand's parser: the parser of all six
-    parses argv again, and prints its own usage and message."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """The parser of the one subcommand a run names."""
-
-    def error(self, message: str):
-        raise _HandOver(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser of all six subcommands."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="vitamap",
         description="Compile biography timeline files into georeferenced outputs.",
@@ -157,12 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+def _add_arguments(name: str, p: argparse.ArgumentParser | _Options) -> None:
     """Give ``p`` the arguments of subcommand ``name``."""
     if name == "geocode":
         p.add_argument("name", help="place name to look up")
         p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
-        return p
+        return
     p.add_argument("input", help="path to a .vita biography file")
     p.add_argument(
         "--gazetteer",
@@ -192,25 +181,51 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentPa
             action="store_true",
             help="emit a symmetric km matrix over distinct places (CSV)",
         )
-    return p
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` by the parser of the subcommand ``argv[0]`` names
-    alone. On a usage error, and when ``argv[0]`` names none, the parser
-    of all six parses it and prints what it prints: usage, help, version."""
-    if argv and argv[0] in COMMANDS:
-        # It never prints: -h is a usage error, and the formatter that
-        # add_argument builds each time needs no terminal size.
-        parser = _CommandParser(
-            prog=f"vitamap {argv[0]}",
-            add_help=False,
-            formatter_class=partial(argparse.HelpFormatter, width=80),
-        )
-        _add_arguments(argv[0], parser).set_defaults(command=argv[0])
-        with suppress(_HandOver):
-            return parser.parse_args(argv[1:])
-    return build_parser().parse_args(argv)
+class _Options(dict):
+    """Stands in for a subcommand's parser in :func:`_add_arguments`, for
+    :func:`_plain_args`: it maps each name of an argument to its dest and keywords."""
+
+    def add_argument(self, *names: str, **kwargs) -> None:
+        self.update(dict.fromkeys(names, (names[-1].lstrip("-"), kwargs)))  # -o/--output: output
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives a plain run, else
+    None. A plain run names a subcommand, then gives only whole option
+    strings of it, each with its value (not starting with ``-``, of its
+    type, in its choices) as the next word, and one non-empty positional."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _add_arguments(argv[0], options := _Options())
+    # A store_true option defaults to False, the positional to None.
+    names = {dest: False if "action" in kw else kw.get("default") for dest, kw in options.values()}
+    positional = next(name for name in options if name[0] != "-")
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] == "-" and word in options:
+            dest, kwargs = options[word]
+            if "action" in kwargs:  # store_true
+                names[dest] = True
+                continue
+            value = next(words, "-")
+            try:
+                names[dest] = kwargs.get("type", str)(value)
+            except Exception:  # argparse reports a value its type refuses
+                return None
+            if value[:1] == "-" or names[dest] not in kwargs.get("choices", (names[dest],)):
+                return None
+        elif word[:1] not in ("", "-") and names[positional] is None:
+            names[positional] = word
+        else:
+            return None
+    return None if names[positional] is None else SimpleNamespace(command=argv[0], **names)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """A plain run's namespace, else build_parser's, the only parser that prints."""
+    return _plain_args(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -912,17 +912,19 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
     # ntpath and urllib.parse); json is for GeoJSON only, and no CSV is
     # written through csv. A run asks no terminal size of shutil. Later
     # 3.13 releases import typing from inspect, which dataclasses imports;
-    # so only what vitamap adds after dataclasses counts.
+    # so only what vitamap adds after dataclasses counts. A plain run
+    # builds no parser: argparse, with gettext, is not imported either.
     corpus = REPO / "src" / "vitamap" / "corpora" / "newton.vita"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import dataclasses; "
         "before = set(sys.modules); import vitamap.cli; "
         "print(sorted({'calendar', 'locale', 'tempfile', 'shutil', 'random', 'bz2', 'lzma',"
         " 'typing', 'csv', 'json', 'fnmatch', 'ipaddress', 'ntpath', 'pathlib', 'urllib',"
-        " 'urllib.parse'} & (set(sys.modules) - before))); "
+        " 'urllib.parse', 'argparse', 'gettext'} & (set(sys.modules) - before))); "
         "code = vitamap.cli.main(['distances', sys.argv[2], '--matrix', '-o', 'matrix.csv']); "
         "code += vitamap.cli.main(['itinerary', sys.argv[2], '--format', 'csv', '-o', 'i.csv']); "
-        "print(code, sorted({'csv', 'json', 'shutil', 'pathlib'} & (set(sys.modules) - before)))"
+        "print(code, sorted({'csv', 'json', 'shutil', 'pathlib', 'argparse', 'gettext'}"
+        " & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(REPO / "src"), str(corpus)],
@@ -967,9 +969,41 @@ _ARGV_WORDS = sorted(
 )
 
 
+# Each subcommand's parser, by name.
+_SUBPARSERS = next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+
+# Values drawn for an option besides its good ones: a bad choice, numbers
+# that --buckets refuses or takes, and words that are empty, hold "=" or
+# start with "-".
+_OPTION_VALUES = ["svg", "kml", "text", "0", "3", " 7", "-x", "-", "", "x=y"]
+
+
+@st.composite
+def _plain_shaped_argvs(draw) -> list[str]:
+    """A subcommand, then a shuffle of 0-2 positionals and some of its own
+    option strings, each with a value where it takes one; now and then an
+    abbreviation or -h too."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    # Weighted so that about half the draws are plain runs.
+    count = draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2]))
+    words = [[draw(st.sampled_from(["x", "in.vita", "stats"]))] for _ in range(count)]
+    for action in _SUBPARSERS[name]._actions:
+        if action.dest == "help" or not action.option_strings or not draw(st.booleans()):
+            continue
+        option = [draw(st.sampled_from(action.option_strings))]
+        if action.nargs != 0:  # not a store_true flag
+            good = action.choices or (["3", " 7"] if action.type else ["g.tsv", "", "x=y"])
+            option.append(draw(st.sampled_from([*good * 3, *_OPTION_VALUES])))
+        words.append(option)
+    odd = draw(st.sampled_from([None] * 12 + ["-h", "--help", "--gaz", "--str", "--form", "--out"]))
+    if odd:
+        words.append([odd])
+    return [name, *(word for option in draw(st.permutations(words)) for word in option)]
+
+
 class TestSelectiveParser:
-    """A run that names a subcommand is parsed by that subcommand's parser
-    alone; it parses, prints and exits exactly as the parser of all six."""
+    """A plain run is parsed without argparse; every run parses, prints and
+    exits exactly as the parser of all six makes it."""
 
     @pytest.mark.parametrize("columns", ["40", "80", "200"])
     @pytest.mark.parametrize(
@@ -1008,15 +1042,32 @@ class TestSelectiveParser:
         with mock.patch.dict(os.environ, {"COLUMNS": columns}):
             assert _parse(cli._parse_args, argv) == _parse(build_parser().parse_args, argv)
 
-    def test_a_named_subcommand_builds_one_parser(self, newton_path, monkeypatch, capsys):
+    def test_plain_shaped_argv_same_result_as_the_full_parser(self, monkeypatch):
+        drawn, handed_over = [], []
+
+        def spied() -> argparse.ArgumentParser:
+            handed_over.append(True)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spied)
+
+        @settings(max_examples=300, deadline=None)
+        @given(argv=_plain_shaped_argvs())
+        def check(argv):
+            drawn.append(argv)
+            assert _parse(cli._parse_args, argv) == _parse(build_parser().parse_args, argv)
+
+        check()
+        # A plain path that handed every run over would pass the check above.
+        assert 3 * (len(drawn) - len(handed_over)) >= len(drawn)
+
+    def test_a_plain_run_builds_no_parser(self, newton_path, monkeypatch, capsys):
         monkeypatch.delenv("VITA_GAZETTEER", raising=False)
         built = []
-        parsers = []
         init = argparse.ArgumentParser.__init__
 
         def counted(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
-            parsers.append(self)
             init(self, *args, **kwargs)
 
         def sized(*args, **kwargs):
@@ -1026,19 +1077,16 @@ class TestSelectiveParser:
         with monkeypatch.context() as patched:
             patched.setattr(shutil, "get_terminal_size", sized)
             assert main(["stats", str(newton_path), "--strict"]) == 0
-        assert built == ["vitamap stats"]
-        # It never prints, so it has no -h.
-        assert "-h" not in parsers[0]._option_string_actions
+        assert built == []
         capsys.readouterr()
-        # -h is a usage error to it: the parser of all six prints the help.
-        built.clear()
+        # -h is not a plain run: the parser of all six, built alone, prints the help.
         assert main(["stats", "-h"]) == 0
-        assert built == ["vitamap stats", "vitamap", *(f"vitamap {name}" for name in COMMANDS)]
+        assert built == ["vitamap", *(f"vitamap {name}" for name in COMMANDS)]
         assert capsys.readouterr().out.startswith("usage: vitamap stats [-h] [--gazetteer")
-        # A usage error hands argv to the parser of all six, which reports it.
+        # Nor is a usage error: that parser reports it.
         built.clear()
         assert main(["stats", "x", "extra"]) == 2
-        assert built == ["vitamap stats", "vitamap", *(f"vitamap {name}" for name in COMMANDS)]
+        assert built == ["vitamap", *(f"vitamap {name}" for name in COMMANDS)]
         error = capsys.readouterr().err
         assert error.startswith("usage: vitamap [-h] [--version]")
         assert error.endswith("vitamap: error: unrecognized arguments: extra\n")
@@ -1047,6 +1095,25 @@ class TestSelectiveParser:
         for name, help_text in COMMANDS.items():
             assert name in usage
             assert re.search(rf"^    {name} +{re.escape(help_text)}$", listing, re.M)
+
+    @pytest.mark.parametrize(
+        "option, parsed_by_argparse", [("--gazetteer", False), ("--gaz", True)]
+    )
+    def test_console_run_plain_or_abbreviated(
+        self, option, parsed_by_argparse, newton_path, gazetteer_path, tmp_path
+    ):
+        # -X importtime lists on stderr each module the run imports.
+        result = subprocess.run(
+            _cli("stats", str(newton_path), option, str(gazetteer_path)),
+            capture_output=True,
+            env=_env(PYTHONPROFILEIMPORTTIME="1"),
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (newton_path.parent / "golden" / "newton.stats.txt").read_bytes()
+        imported = re.findall(r"^import time: .*\| +(\S+)$", result.stderr.decode(), re.M)
+        assert "vitamap.cli" in imported
+        assert ("argparse" in imported) is parsed_by_argparse
 
     def test_missing_subcommand_error_is_unchanged(self, capsys):
         # The differential cannot see a change both builds share.
