@@ -67,7 +67,7 @@ import os
 import stat
 import sys
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from functools import partial
 from itertools import chain, count
@@ -131,8 +131,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of all six subcommands."""
+def build_parser():
+    """The ``argparse.ArgumentParser`` of all six subcommands. argparse is
+    imported only here, so no annotation names it."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -142,18 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in COMMANDS.items():
-        _add_arguments(name, sub.add_parser(name, help=help_text))
+        _add_arguments(name, sub.add_parser(name, help=help_text).add_argument)
     return parser
 
 
-def _add_arguments(name: str, p: argparse.ArgumentParser | _Options) -> None:
-    """Give ``p`` the arguments of subcommand ``name``."""
+def _add_arguments(name: str, add_argument: Callable[..., object]) -> None:
+    """Add the arguments of subcommand ``name`` by ``add_argument``: a
+    parser's, or an :class:`_Options`'s."""
     if name == "geocode":
-        p.add_argument("name", help="place name to look up")
-        p.add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
+        add_argument("name", help="place name to look up")
+        add_argument("--endpoint", help="geocoder base URL (required; no implicit network)")
         return
-    p.add_argument("input", help="path to a .vita biography file")
-    p.add_argument(
+    add_argument("input", help="path to a .vita biography file")
+    add_argument(
         "--gazetteer",
         help=(
             "accepted but not read: validate checks the biography without a gazetteer"
@@ -161,12 +163,12 @@ def _add_arguments(name: str, p: argparse.ArgumentParser | _Options) -> None:
             else "gazetteer TSV path (overrides VITA_GAZETTEER and the file's own hint)"
         ),
     )
-    p.add_argument("--strict", action="store_true", help="treat warnings as errors")
+    add_argument("--strict", action="store_true", help="treat warnings as errors")
     if name != "validate":
-        p.add_argument("-o", "--output", help="output path (default: stdout)")
+        add_argument("-o", "--output", help="output path (default: stdout)")
     if name == "compile":
-        p.add_argument("--format", choices=("kml", "geojson"), default="kml")
-        p.add_argument(
+        add_argument("--format", choices=("kml", "geojson"), default="kml")
+        add_argument(
             "--buckets",
             type=_positive_int,
             default=5,
@@ -174,9 +176,9 @@ def _add_arguments(name: str, p: argparse.ArgumentParser | _Options) -> None:
             help="timeline color bucket count (default 5)",
         )
     elif name in ("itinerary", "distances"):
-        p.add_argument("--format", choices=("text", "csv"), default="text")
+        add_argument("--format", choices=("text", "csv"), default="text")
     if name == "distances":
-        p.add_argument(
+        add_argument(
             "--matrix",
             action="store_true",
             help="emit a symmetric km matrix over distinct places (CSV)",
@@ -184,8 +186,9 @@ def _add_arguments(name: str, p: argparse.ArgumentParser | _Options) -> None:
 
 
 class _Options(dict):
-    """Stands in for a subcommand's parser in :func:`_add_arguments`, for
-    :func:`_plain_args`: it maps each name of an argument to its dest and keywords."""
+    """Its ``add_argument`` stands in for a subcommand parser's in
+    :func:`_add_arguments`, for :func:`_plain_args`: it maps each name of
+    an argument to its dest and keywords."""
 
     def add_argument(self, *names: str, **kwargs) -> None:
         self.update(dict.fromkeys(names, (names[-1].lstrip("-"), kwargs)))  # -o/--output: output
@@ -198,7 +201,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     type, in its choices) as the next word, and one non-empty positional."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _add_arguments(argv[0], options := _Options())
+    _add_arguments(argv[0], (options := _Options()).add_argument)
     # A store_true option defaults to False, the positional to None.
     names = {dest: False if "action" in kw else kw.get("default") for dest, kw in options.values()}
     positional = next(name for name in options if name[0] != "-")
@@ -223,9 +226,10 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     return None if names[positional] is None else SimpleNamespace(command=argv[0], **names)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
-    """A plain run's namespace, else build_parser's, the only parser that prints."""
-    return _plain_args(argv) or build_parser().parse_args(argv)
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """A plain run's namespace, else build_parser's, the only parser that
+    prints: a SimpleNamespace either way."""
+    return _plain_args(argv) or build_parser().parse_args(argv, SimpleNamespace())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
 # The run driver
 
 
-def _run(args: argparse.Namespace) -> None:
+def _run(args: SimpleNamespace) -> None:
     input_path = _as_path(args.input)
     try:
         biography = parse_biography(_read_lines(input_path, "input"))
@@ -272,7 +276,7 @@ def _run(args: argparse.Namespace) -> None:
     _write_output(records, args.output)
 
 
-def _records(args: argparse.Namespace, biography: Biography, gazetteer: Gazetteer) -> Iterable[str]:
+def _records(args: SimpleNamespace, biography: Biography, gazetteer: Gazetteer) -> Iterable[str]:
     """The records the command writes, resolved and ordered before it returns:
     a str is one record, and drawing them only formats, raising and warning of nothing."""
     command = args.command
@@ -378,7 +382,7 @@ def _as_path(text: str) -> str:
 
 
 def _load_gazetteer_for(
-    args: argparse.Namespace, biography: Biography, input_path: str
+    args: SimpleNamespace, biography: Biography, input_path: str
 ) -> Gazetteer:
     explicit = args.gazetteer or os.environ.get("VITA_GAZETTEER")
     if explicit:
@@ -469,7 +473,7 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
         raise _CliFailure(EXIT_USAGE, f"cannot write output '{name}': {exc.strerror or exc}")
 
 
-def cmd_geocode(args: argparse.Namespace) -> None:
+def cmd_geocode(args: SimpleNamespace) -> None:
     if not args.endpoint:
         raise _CliFailure(EXIT_USAGE, "geocode requires --endpoint; there is no default geocoder")
     try:

@@ -8,7 +8,8 @@ order, each paired with its resolved point. The emitters neither sort
 nor resolve; the KML timeline buckets take their bounds t0 and t1 from
 the first and last stop's start day, once per document, and the
 distance matrix computes and formats each unordered pair of places
-once.
+once, from the trig table of :mod:`vitamap.geo` (one cosine a place)
+through its one haversine kernel.
 
 All emitters are pure text producers: identical inputs give
 byte-identical output. The KML, GeoJSON and matrix documents also come
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .gazetteer import GazetteerEntry
-from .geo import distances_km, itinerary_stops, place_identity
+from .geo import _haversines, _trig_rows, itinerary_stops, place_identity
 from .model import (
     Biography,
     GeoPoint,
@@ -307,12 +308,13 @@ def distance_matrix(
 
     Places appear in order of first itinerary occurrence; keyed places
     are labeled by normalized key, inline-only points by
-    "lat,lon". Each unordered pair is computed and formatted once: row
-    i hands ``points[i + 1:]`` to :func:`vitamap.geo.distances_km` and
-    writes those cells, right of the diagonal, by one ``",%.3f"``
-    template; row j > i writes cell (i, j) again as its cell (j, i),
-    from that text. So the diagonal is 0.000 and the matrix is exactly
-    symmetric.
+    "lat,lon". Each unordered pair is computed and formatted once: each
+    place gets one trig row before the first matrix row; row i hands its
+    trig row and those of the places after it to the haversine kernel
+    of :mod:`vitamap.geo` in one call and writes those cells, right of
+    the diagonal, by one ``",%.3f"`` template; row j > i writes cell
+    (i, j) again as its cell (j, i), from that text. So the diagonal is
+    0.000 and the matrix is exactly symmetric.
 
     Labels are quoted by :func:`_csv_field`, in the header and at the
     start of each row. The cells never need quoting. Raises
@@ -324,9 +326,10 @@ def distance_matrix(
 def matrix_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
     """The rows of :func:`distance_matrix`, from the resolved ``stops`` of
     :func:`vitamap.geo.itinerary_stops`, header first, each ending its
-    line. It checks nothing; the places are labeled before the first row,
-    and each row's cells right of the diagonal are computed and formatted
-    as it is drawn."""
+    line. It checks nothing; the places are labeled, and their trig table
+    built, before the first row, and each row's cells right of the
+    diagonal are computed by one kernel call and formatted as the row
+    is drawn."""
     places: dict[str | tuple[float, float], GeoPoint] = {}  # identity -> first point
     for event, point in stops:
         places.setdefault(place_identity(event, point), point)
@@ -334,16 +337,16 @@ def matrix_records(stops: list[tuple[LifeEvent, GeoPoint]]) -> Iterator[str]:
         _csv_field(identity if isinstance(identity, str) else f"{point.lat:.6f},{point.lon:.6f}")
         for identity, point in places.items()
     ]
-    points = list(places.values())
+    rows = _trig_rows(places.values())
     yield ",".join(["place", *quoted]) + "\n"
     # columns[0] holds the next row's cells left of the diagonal, each with
     # its comma, as the rows above formatted them: one byte a character.
     # A row takes its column out, so at most about a quarter of the cells
     # are held at once.
-    columns = [bytearray() for _ in points]
-    for i, (label, a) in enumerate(zip(quoted, points)):
+    columns = [bytearray() for _ in rows]
+    for i, (label, row) in enumerate(zip(quoted, rows)):
         left = columns.pop(0).decode()
-        right = ",%.3f" * len(columns) % tuple(distances_km(a, points[i + 1 :]))
+        right = ",%.3f" * len(columns) % tuple(_haversines([(row, rows[i + 1 :])]))
         for column, cell in zip(columns, right.encode().split(b",")[1:]):
             column += cell
             column += b","

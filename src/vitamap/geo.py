@@ -6,15 +6,19 @@ Distances use the haversine formula on a sphere of mean radius
 approximation is within half a percent of ellipsoidal geodesics, and
 the value is pinned in the tests. Distances stay in full double
 precision here; rounding happens only in the emitters.
+
+Every distance comes from one kernel, :func:`_haversines`, over a trig
+table of one ``(lat, lon, cos(lat))`` row per point (:func:`_trig_rows`),
+so each cosine is taken once. One call gives a whole route's legs or a
+matrix row; :func:`haversine_km` and :func:`distances_km` wrap it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import asin, cos, sin, sqrt
+from math import asin, cos, pi, sin, sqrt
 
 from .gazetteer import GazetteerEntry, resolve
 from .model import (
@@ -27,8 +31,8 @@ from .model import (
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
 
-_RADIAN = math.pi / 180.0  # math.radians(x) is x * (pi / 180)
-_HALF_RADIAN = _RADIAN / 2.0
+_RADIAN = pi / 180.0  # math.radians(x) is x * (pi / 180)
+_HALF_RAD = _RADIAN / 2.0
 _DIAMETER_KM = 2.0 * EARTH_RADIUS_KM
 
 
@@ -52,34 +56,48 @@ class BoundingBox:
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in km between two normalized points:
-    ``distances_km(a, (b,))[0]``. Symmetric by construction."""
+    ``distances_km(a, (b,))[0]``, one pair. Symmetric by construction."""
     return distances_km(a, (b,))[0]
 
 
 def distances_km(a: GeoPoint, points: Iterable[GeoPoint]) -> list[float]:
     """Great-circle distance in km from ``a`` to each of ``points``, in
-    order: the one haversine kernel.
+    order: one :func:`_haversines` call, over the trig rows of ``a`` and
+    of ``points``."""
+    return _haversines([(_trig_rows((a,))[0], _trig_rows(points))])
+
+
+_TrigRow = tuple[float, float, float]
+
+
+def _trig_rows(points: Iterable[GeoPoint]) -> list[_TrigRow]:
+    """The trig table of ``points``: one row ``(lat, lon, cos(lat))`` each,
+    so one cosine each, however many distances read it."""
+    return [(p.lat, p.lon, cos(p.lat * _RADIAN)) for p in points]
+
+
+def _haversines(groups: Iterable[tuple[_TrigRow, Iterable[_TrigRow]]]) -> list[float]:
+    """For each ``(row, rows)`` group, the great-circle km from ``row`` to
+    each of ``rows``, in order: the one haversine kernel.
 
     The arc term is clamped to [0, 1], NaN to 0, as
     ``min(1.0, max(0.0, h))`` clamps it, so antipodal pairs cannot
-    wander out of asin's domain. ``a``'s coordinates and cosine are read
-    once per call; every pair gets the same operations in the same order.
+    wander out of asin's domain. Every pair gets the same operations in
+    the same order, with the cosines its rows carry.
 
     Degrees become radians by one multiplication with ``_RADIAN``, the
     same ``pi / 180`` that ``math.radians`` multiplies by, so each
     product has the bits ``math.radians`` gives. Halving is exact, so
-    ``x * _HALF_RADIAN`` is ``math.radians(x) / 2`` except in the
+    ``x * _HALF_RAD`` is ``math.radians(x) / 2`` except in the
     subnormal range, where its squared sine is 0 either way. The result
     is therefore bit-identical to the textbook ``math.radians`` form.
     """
-    lat1, lon1 = a.lat, a.lon
-    cos_lat1 = cos(lat1 * _RADIAN)
     return [
         _DIAMETER_KM * asin(sqrt(1.0 if h > 1.0 else h if h > 0.0 else 0.0))
-        for b in points
+        for (lat1, lon1, cos1), rows in groups
+        for lat2, lon2, cos2 in rows
         for h in [
-            sin((b.lat - lat1) * _HALF_RADIAN) ** 2
-            + cos_lat1 * cos(b.lat * _RADIAN) * sin((b.lon - lon1) * _HALF_RADIAN) ** 2
+            sin((lat2 - lat1) * _HALF_RAD) ** 2 + cos1 * cos2 * sin((lon2 - lon1) * _HALF_RAD) ** 2
         ]
     ]
 
@@ -118,15 +136,14 @@ def build_itinerary(
     distance from leg i-1. UnknownPlace propagates with the offending
     event id attached.
     """
-    legs: list[ItineraryLeg] = []
-    previous: GeoPoint | None = None
-    cum_km = 0.0
-    for index, (event, point) in enumerate(itinerary_stops(biography, gazetteer)):
-        leg_km = 0.0 if previous is None else haversine_km(previous, point)
-        cum_km += leg_km
-        legs.append(ItineraryLeg(index, event, point, leg_km, cum_km))
-        previous = point
-    return legs
+    stops = itinerary_stops(biography, gazetteer)
+    rows = _trig_rows(point for _, point in stops)
+    legs_km = [0.0, *_haversines(zip(rows, zip(rows[1:])))]
+    cum_km = 0.0  # adds the legs left to right, as cum_km += leg_km would
+    return [
+        ItineraryLeg(index, event, point, leg_km, cum_km := cum_km + leg_km)
+        for index, ((event, point), leg_km) in enumerate(zip(stops, legs_km))
+    ]
 
 
 def bounding_box(points: list[GeoPoint]) -> BoundingBox:
@@ -137,17 +154,15 @@ def bounding_box(points: list[GeoPoint]) -> BoundingBox:
     """
     if not points:
         raise ValueError("bounding_box requires at least one point")
-    min_lat = min(p.lat for p in points)
-    max_lat = max(p.lat for p in points)
-    min_lon = min(p.lon for p in points)
-    max_lon = max(p.lon for p in points)
-    if max_lon - min_lon > 180.0:
+    lats = [p.lat for p in points]
+    lons = [p.lon for p in points]
+    if max(lons) - min(lons) > 180.0:
         warnings.warn(
             "points span more than 180 degrees of longitude; emitting the "
             "full-width box instead of wrapping across the antimeridian",
             stacklevel=2,
         )
-    return BoundingBox(min_lat=min_lat, max_lat=max_lat, min_lon=min_lon, max_lon=max_lon)
+    return BoundingBox(min(lats), max(lats), min(lons), max(lons))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -34,8 +35,8 @@ from vitamap.emit import (
     timeline_bucket,
 )
 from vitamap.geo import (
+    _haversines,
     build_itinerary,
-    distances_km,
     haversine_km,
     itinerary_order,
     itinerary_stops,
@@ -665,6 +666,14 @@ def count_calls(monkeypatch, function, weigh=lambda *args: 1) -> list[int]:
 MATRIX_PLACES = 300
 
 
+def spread_events(places: int) -> list[LifeEvent]:
+    """One event a year at each of ``places`` distinct inline points."""
+    return [
+        day_event(f"e{i}", 1900 + i, 1, 1, place_key=None, point=GeoPoint(-60.0 + 3 * i, 8.5 * i))
+        for i in range(places)
+    ]
+
+
 def spread_biography(places: int) -> Biography:
     """One event at each of ``places`` inline points spread over the globe."""
     events = []
@@ -710,20 +719,30 @@ class TestComplexityGuards:
 
     def test_distance_matrix_computes_each_pair_once(self, monkeypatch):
         places = 40
-        events = [
-            day_event(
-                f"e{i}", 1900 + i, 1, 1, place_key=None, point=GeoPoint(-60.0 + 3 * i, 8.5 * i)
-            )
-            for i in range(places)
-        ]
+        events = spread_events(places)
         # A revisit adds a row to the itinerary but no place to the matrix.
         events.append(day_event("back", 1990, 1, 1, place_key=None, point=events[0].point))
-        # Each row hands its right-of-diagonal points to the row kernel once.
-        handed = count_calls(monkeypatch, distances_km, lambda a, points: len(points))
+        # Each row hands its right-of-diagonal trig rows to the kernel once.
+        handed = count_calls(
+            monkeypatch, _haversines, lambda groups: sum(len(rows) for _, rows in groups)
+        )
         calls = count_calls(monkeypatch, haversine_km)
         rows = list(csv.reader(io.StringIO(distance_matrix(simple_biography(*events), GAZ))))
         assert len(rows) == places + 1
         assert handed[0] == places * (places - 1) // 2
+        assert calls[0] == 0
+
+    def test_itinerary_takes_one_kernel_call_and_one_cosine_a_stop(self, monkeypatch):
+        stops = 40
+        events = spread_events(stops)
+        events.append(day_event("back", 1990, 1, 1, place_key=None, point=events[0].point))
+        kernel_calls = count_calls(monkeypatch, _haversines)
+        cosines = count_calls(monkeypatch, math.cos)
+        calls = count_calls(monkeypatch, haversine_km)
+        legs = build_itinerary(simple_biography(*events), GAZ)
+        assert len(legs) == stops + 1
+        assert kernel_calls[0] == 1
+        assert cosines[0] == stops + 1
         assert calls[0] == 0
 
     def test_distance_matrix_peak_is_about_twice_its_output(self):

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+import csv
+import io
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vitamap
+from vitamap.emit import matrix_records
 from vitamap.geo import (
     EARTH_RADIUS_KM,
     BoundingBox,
@@ -17,6 +23,7 @@ from vitamap.geo import (
     distances_km,
     haversine_km,
     itinerary_order,
+    itinerary_stops,
     route_stats,
 )
 from vitamap.gazetteer import UnknownPlace, load_gazetteer
@@ -178,6 +185,51 @@ class TestHaversine:
         if direct > math.pi * EARTH_RADIUS_KM - 100.0:
             tolerance = 2 * EARTH_RADIUS_KM * math.sqrt(4 * sys.float_info.epsilon)
         assert direct <= haversine_km(a, b) + haversine_km(b, c) + tolerance
+
+
+class TestOneKernel:
+    """Legs and matrix cells come from the one kernel over the trig table,
+    with the reference formula's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(edge_points, min_size=1, max_size=6))
+    def test_legs_and_matrix_cells_are_the_reference_bits(self, points):
+        b = Biography(
+            title="T",
+            id="t",
+            events=[event(f"e{i}", 1900 + i, point=p) for i, p in enumerate(points)],
+        )
+        legs = build_itinerary(b, {})
+        expected = [0.0, *(reference_haversine_km(p, q) for p, q in zip(points, points[1:]))]
+        assert [leg.leg_km for leg in legs] == expected
+        # Left to right, as += adds; sum() compensates its rounding on 3.12+.
+        cum_km = 0.0
+        for leg, leg_km in zip(legs, expected):
+            cum_km += leg_km
+            assert leg.cum_km == cum_km
+        places: dict[tuple[float, float], GeoPoint] = {}  # (lat, lon) -> first point
+        for p in points:
+            places.setdefault((p.lat, p.lon), p)
+        firsts = list(places.values())
+        text = "".join(matrix_records(itinerary_stops(b, {})))
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        assert len(rows) == len(firsts)
+        for i, row in enumerate(rows):
+            assert row[1:] == [
+                "%.3f" % reference_haversine_km(firsts[min(i, j)], firsts[max(i, j)])
+                for j in range(len(firsts))
+            ]
+
+    def test_src_holds_one_asin_call(self):
+        # A second haversine expression would fork the kernel; each needs asin.
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(vitamap.__file__).parent.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "asin"
+        ]
+        assert len(calls) == 1, calls
 
 
 GAZ = load_gazetteer(
