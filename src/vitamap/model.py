@@ -13,8 +13,8 @@ import io
 import math
 import os
 import re
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, fields
 from datetime import date
 from heapq import heappop, heappush
 from itertools import chain
@@ -43,6 +43,13 @@ def fold_key(name: str) -> str:
     is the same fold, raising when nothing is left.
     """
     return _SEPARATOR_RUN_RE.sub("-", name.lower()).strip("-")
+
+
+def _key_of(place_key: str) -> str:
+    """The :func:`fold_key` of a place key. A canonical place key is its
+    own key: one string, not two equal ones."""
+    key = fold_key(place_key)
+    return place_key if key == place_key else key
 
 
 def split_lines(text: str) -> list[str]:
@@ -175,6 +182,24 @@ class DateInterval:
         return self.start <= other.end and other.start <= self.end
 
 
+def _slot_setters(cls: type) -> Iterator[Callable[[object, object], None]]:
+    """The setter of each field's slot, which a frozen class's __setattr__ does not guard."""
+    return (vars(cls)[f.name].__set__ for f in fields(cls))
+
+
+_set_start, _set_end, _set_circa = _slot_setters(DateInterval)
+
+
+def _parsed_interval(start: date, end: date, circa: bool) -> DateInterval:
+    """The DateInterval of values the parser has checked: its slots set
+    one by one, without ``__post_init__``."""
+    interval = object.__new__(DateInterval)
+    _set_start(interval, start)
+    _set_end(interval, end)
+    _set_circa(interval, circa)
+    return interval
+
+
 # ---------------------------------------------------------------------------
 # Events and biographies
 
@@ -186,11 +211,15 @@ class LifeEvent:
     The place is either a gazetteer key, an inline point, or both; an
     inline point overrides the gazetteer at resolution time. A place
     key must fold to a non-empty key. ``key`` holds that fold
-    (:func:`fold_key`), made once here for every consumer, or None for
-    an inline-only event; it is derived, so not an argument, and takes
-    no part in ``repr`` or equality. ``line`` is the 1-based line of the
+    (:func:`fold_key`), made once for every consumer, or None for an
+    inline-only event; it is derived, so not an argument, and takes no
+    part in ``repr`` or equality. ``line`` is the 1-based line of the
     ``[event]`` header when parsed from VITA text; it locates
     diagnostics and takes no part in equality.
+
+    Parsed events are built from the parser's own located checks, with
+    one fold per place text, and skip ``__post_init__``; they compare,
+    hash and pickle as constructed ones do.
     """
 
     id: str
@@ -211,11 +240,10 @@ class LifeEvent:
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.place_key is None and self.point is None:
             raise ValueError(f"event {self.id!r} needs a place key or an inline point")
-        key = None if self.place_key is None else fold_key(self.place_key)
+        key = None if self.place_key is None else _key_of(self.place_key)
         if key == "":
             raise ValueError(f"place_key normalizes to empty key (use None): {self.place_key!r}")
-        # A canonical place_key is its own key: one string, not two equal ones.
-        object.__setattr__(self, "key", self.place_key if key == self.place_key else key)
+        object.__setattr__(self, "key", key)
         if type(self.attachments) is not tuple:  # a list, say: store a tuple
             object.__setattr__(self, "attachments", tuple(self.attachments))
         for path in self.attachments:
@@ -223,6 +251,31 @@ class LifeEvent:
                 raise ValueError(f"attachment path must be relative: {path!r}")
         if not self.label:
             object.__setattr__(self, "label", self.place_key or self.id)
+
+
+(_set_id, _set_kind, _set_when, _set_place_key, _set_point, _set_label, _set_note,
+ _set_attachments, _set_line, _set_key) = _slot_setters(LifeEvent)
+
+
+def _parsed_event(
+    id: str, kind: str, when: DateInterval, place_key: str | None, point: GeoPoint | None,
+    label: str, note: str, attachments: tuple[str, ...], line: int, key: str | None,
+) -> LifeEvent:
+    """The LifeEvent of values the parser has checked, with its ``key``
+    and ``label`` as ``__post_init__`` would make them: its slots set one
+    by one, without ``__post_init__``."""
+    event = object.__new__(LifeEvent)
+    _set_id(event, id)
+    _set_kind(event, kind)
+    _set_when(event, when)
+    _set_place_key(event, place_key)
+    _set_point(event, point)
+    _set_label(event, label)
+    _set_note(event, note)
+    _set_attachments(event, attachments)
+    _set_line(event, line)
+    _set_key(event, key)
+    return event
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ from .model import (
     GeoPoint,
     LifeEvent,
     ParseDiagnostic,
+    _key_of,
+    _parsed_event,
+    _parsed_interval,
     days_in_month,
     is_token,
     iter_lines,
@@ -63,8 +66,6 @@ _EMPTY_OK_KEYS = frozenset({"note", "label"})
 _KINDS = {kind: kind for kind in EVENT_KINDS}
 
 _DATE_EXPR_RE = re.compile(r"(c\.)?[ \t]*([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?\Z")
-# Matches exactly the names that fold_key folds to "", without folding them.
-_FOLDS_TO_EMPTY = re.compile(r"[\s_-]*\Z").match
 
 # A key's value, its line number, and that line with its comment cut; the
 # value's column is worked out from the line only when a finding needs it.
@@ -139,9 +140,9 @@ def parse_biography(source: str | Iterable[str]) -> Biography:
     block: str | None = None  # a key of _KEYS
     keys = _KEYS[block]  # set at each header
     header_missing_reported = False
-    # Within this parse, events share equal values: one string per place
-    # text, one GeoPoint per (lat text, lon text).
-    places: dict[str, str] = {}
+    # Within this parse, events share equal values: one string and one key
+    # per place text, one GeoPoint per (lat text, lon text).
+    places: dict[str, tuple[str, str]] = {}
     points: dict[tuple[str, str], GeoPoint] = {}
 
     def report_missing_header() -> None:
@@ -246,7 +247,7 @@ def _finish_event(
     pairs: dict[str, _Pair],
     attachments: list[_Pair],
     diags: list[Diagnostic],
-    places: dict[str, str],
+    places: dict[str, tuple[str, str]],
     points: dict[tuple[str, str], GeoPoint],
 ) -> LifeEvent | None:
     """Check one [event] block: its event, or None with its findings in diags."""
@@ -271,17 +272,15 @@ def _finish_event(
             bounds = _date_range(start[0])
         except ValueError as exc:
             diags.append(_at(start, str(exc)))
-    when = None
     end = pairs.get("end")
-    if end is None:
-        if bounds is not None:
-            when = DateInterval(*bounds)
-    else:
+    if end is not None:
         try:
             _, last, circa = _date_range(end[0])
             if bounds is not None:  # else the start is already reported
-                when = DateInterval(bounds[0], last, bounds[2] or circa)
-        except ValueError as exc:  # a malformed end, or "interval end precedes start"
+                if last < bounds[0]:
+                    raise ValueError("interval end precedes start")
+                bounds = (bounds[0], last, bounds[2] or circa)
+        except ValueError as exc:  # a malformed end, or one before the start
             diags.append(_at(end, str(exc)))
 
     lat = pairs.get("lat")
@@ -300,9 +299,14 @@ def _finish_event(
                 points[lat[0], lon[0]] = point
 
     place = pairs.get("place")
+    text = key = None
+    if place is not None:  # one fold per place text
+        if place[0] not in places:
+            places[place[0]] = (place[0], _key_of(place[0]))
+        text, key = places[place[0]]
     if place is None and point is None and before == len(diags):
         diags.append(ParseDiagnostic(header_line, 1, "event needs a place or inline lat/lon"))
-    elif place is not None and _FOLDS_TO_EMPTY(place[0]):
+    elif place is not None and not key:
         diags.append(_at(place, f"name normalizes to empty key: {place[0]!r}"))
 
     for path in attachments:
@@ -311,20 +315,23 @@ def _finish_event(
 
     if len(diags) > before:
         return None
-    assert event_id is not None and when is not None
+    assert event_id is not None and bounds is not None
     label = pairs.get("label")
     note = pairs.get("note")
-    # Every rule LifeEvent checks is checked above, located: it cannot raise.
-    return LifeEvent(
+    # Every rule LifeEvent checks is checked above, located, so the event is
+    # built from these values without checking them again; its label
+    # defaults as LifeEvent's does.
+    return _parsed_event(
         event_id[0],
         _KINDS[kind[0]] if kind else "other",
-        when,
-        places.setdefault(place[0], place[0]) if place else None,
+        _parsed_interval(*bounds),
+        text,
         point,
-        label[0] if label else "",
+        (label[0] if label else "") or text or event_id[0],
         note[0] if note else "",
         tuple([path for path, _, _ in attachments]) if attachments else (),
         header_line,
+        key,
     )
 
 

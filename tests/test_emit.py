@@ -16,6 +16,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vitamap import model
 from vitamap.cli import main
 from vitamap.emit import (
     _NOT_XML_CHAR,
@@ -58,7 +59,7 @@ from vitamap.model import (
 )
 from vitamap.vita import parse_biography, serialize_biography
 
-from strategies import biographies, counting_dates, geo_points, traced_peak
+from strategies import biographies, counting_dates, geo_points, long_timeline_text, traced_peak
 
 NS = {"kml": KML_NAMESPACE}
 
@@ -803,11 +804,15 @@ class TestComplexityGuards:
         ],
     )
     def test_cli_folds_each_place_key_once(self, command, newton_path, monkeypatch):
-        # Only LifeEvent folds; the parser's located check folds nothing: 8 keyed events.
+        # The parser folds each distinct place text once, for every event
+        # that names it: 6 texts among newton.vita's 8 keyed events.
+        events = parse_biography(newton_path.read_text(encoding="utf-8")).events
+        texts = {e.place_key for e in events if e.place_key is not None}
+        assert len(texts) == 6
         monkeypatch.delenv("VITA_GAZETTEER", raising=False)
         calls = count_calls(monkeypatch, fold_key)
         assert main([command[0], str(newton_path), *command[1:]]) == 0
-        assert calls[0] == 8
+        assert calls[0] == len(texts)
 
     def test_emitters_fold_no_key(self, newton_path, gazetteer_path, monkeypatch):
         b = parse_biography(newton_path.read_text(encoding="utf-8"))
@@ -825,6 +830,23 @@ class TestComplexityGuards:
     def test_parser_builds_one_interval_per_event(self, monkeypatch):
         text = serialize_biography(generated_biography(400))
         assert text.count("\nend = ") >= 300
-        calls = count_calls(monkeypatch, DateInterval)
+        calls = count_calls(monkeypatch, model._parsed_interval)
         b = parse_biography(text)
         assert calls[0] == len(b.events) == 400
+
+    def test_parser_checks_each_event_once(self, monkeypatch):
+        # The parser's own located checks are the only ones a parsed event
+        # and its interval go through: neither __post_init__ runs.
+        runs = [0]
+        for cls in (LifeEvent, DateInterval):
+            post_init = cls.__post_init__
+
+            def counted(self, post_init=post_init):
+                runs[0] += 1
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        DateInterval(CalendarDate(1900, 1, 1), CalendarDate(1900, 1, 1))
+        assert runs[0] == 1
+        assert len(parse_biography(long_timeline_text(1000)).events) == 1000
+        assert runs[0] == 1

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import calendar
+import dataclasses
+import pickle
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +20,9 @@ from vitamap.model import (
     DateInterval,
     GeoPoint,
     LifeEvent,
-    fold_key,
     split_lines,
 )
 from vitamap.vita import (
-    _FOLDS_TO_EMPTY,
     VitaParseError,
     parse_biography,
     parse_date_expr,
@@ -341,11 +342,6 @@ class TestParseBiography:
         assert [(d.line, d.column, d.message) for d in diags] == [
             (9, 9, "name normalizes to empty key: '-_-'")
         ]
-
-    @given(st.text() | st.text(" \t\n\r\f\v\x1c\x85\xa0\u2028\u3000_-Aİ"))
-    def test_empty_key_check_agrees_with_fold_key(self, name):
-        # The parser reports an empty key without folding the name.
-        assert bool(_FOLDS_TO_EMPTY(name)) == (fold_key(name) == "")
 
     @settings(max_examples=200)
     @given(st.lists(_NEAR_VALID_EVENTS, min_size=1, max_size=4))
@@ -738,6 +734,119 @@ class TestSharedValues:
         found = [(d.line, d.message) for d in diagnostics_of(source)]
         line = 7 if lon == "2" else 8  # the culprit's line in the first block
         assert found == [(line, message), (line + 5, message), (line + 10, message)]
+
+
+def _field_values(event: LifeEvent) -> dict:
+    """Every field of an event, those left out of equality too."""
+    return {f.name: getattr(event, f.name) for f in dataclasses.fields(event)}
+
+
+def _through_constructors(text: str):
+    """What parsing ``text`` gives when the parser builds each event and
+    interval with the public constructors, which check it again."""
+    with (
+        mock.patch.object(vita, "_parsed_event", lambda *args: LifeEvent(*args[:-1])),
+        mock.patch.object(vita, "_parsed_interval", DateInterval),
+    ):
+        return _parsed(text)
+
+
+def _parsed(text: str):
+    try:
+        return parse_biography(text)
+    except VitaParseError as exc:
+        return [(d.severity, d.event_id, d.line, d.column, d.message) for d in exc.diagnostics]
+
+
+# The parts of an [event] block in the forms a hand-written timeline
+# takes: the valid forms of each part, then its broken ones.
+_BLOCK_PARTS = {
+    "id": (["a", "b", "e-1"], ["A"]),
+    "kind": (["", "kind = residence\n", "kind = visit\n"], ["kind = job\n"]),
+    "dates": (
+        ["start = 1700", "start = c.1700", "start = 1700-02", "start = c. 1704-02-29",
+         "start = 1700\nend = c.1702-03", "start = 1701-05\nend = 1701"],
+        ["start = 1702\nend = 1701-12-31", "start = 1700-02-29", "start = 17x0"],
+    ),
+    "place": (
+        ["place = Tower of London\n", "place = QAU_EL_KEBIR\n", "place = tower-of-london\n",
+         "lat = 51.5\nlon = -0.08\n", "lat = 1\nlon = 200\n",
+         "place = Tower of London\nlat = 51.5\nlon = -0.08\n"],
+        ["place = --\n", ""],
+    ),
+    "label": (["", "label =\n", "label = Court\n", "note = n\n"], []),
+    "attach": (["", "attach = a.jpg\n", "attach = a.jpg\nattach = d/b.pdf\n"], ["attach = /c\n"]),
+}
+
+
+def _with_header(blocks: list[str]) -> str:
+    return "[biography]\ntitle = T\nid = t\n" + "".join(blocks)
+
+
+def _written_events(broken: str | None = None):
+    """Blocks of the valid parts, but for the ``broken`` part."""
+    parts = [st.sampled_from(forms[name == broken]) for name, forms in _BLOCK_PARTS.items()]
+    return st.tuples(*parts).map(lambda p: "\n[event]\nid = {}\n{}{}\n{}{}{}".format(*p))
+
+
+_BROKEN_EVENTS = st.sampled_from([n for n, (_, bad) in _BLOCK_PARTS.items() if bad]).flatmap(
+    _written_events
+)
+
+
+class TestBuiltFromChecks:
+    """A parsed event is built from the parser's own checks, with no check
+    run again: it equals, field for field, what the public constructors
+    build from the same values, and its findings are the same."""
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            biographies().map(serialize_biography),
+            st.integers(1, 30).map(long_timeline_text),
+            st.lists(_written_events(), min_size=1, max_size=6).map(_with_header),
+            st.lists(_written_events() | _BROKEN_EVENTS, min_size=1, max_size=4).map(_with_header),
+        )
+    )
+    def test_same_result_as_the_public_constructors(self, text):
+        shipped, public = _parsed(text), _through_constructors(text)
+        assert type(shipped) is type(public)
+        if isinstance(public, list):
+            assert shipped == public
+            return
+        assert shipped == public
+        for ours, theirs in zip(shipped.events, public.events):
+            assert _field_values(ours) == _field_values(theirs)
+            assert (ours.key, ours.label, ours.line) == (theirs.key, theirs.label, theirs.line)
+            assert dataclasses.astuple(ours.when) == dataclasses.astuple(theirs.when)
+
+    @pytest.mark.parametrize(
+        "place,label",
+        [("place = Tower of London", "Tower of London"), ("lat = 1\nlon = 2", "birth")],
+    )
+    def test_empty_label_falls_back_to_the_place_text(self, place, label):
+        src = NEWTON_MINIMAL.replace("place = woolsthorpe", place) + "label =\n"
+        assert parse_biography(src).events[0].label == label
+
+    def test_parsed_event_is_a_frozen_slotted_value(self):
+        src = NEWTON_MINIMAL.replace("place = woolsthorpe", "place = Tower of London")
+        event = parse_biography(src + "attach = a.jpg\n").events[0]
+        twin = LifeEvent(
+            "birth",
+            "birth",
+            DateInterval(CalendarDate(1642, 1, 1), CalendarDate(1642, 12, 31)),
+            "Tower of London",
+            attachments=("a.jpg",),
+        )
+        for value in (event, event.when):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
+        assert event == twin and hash(event) == hash(twin)
+        assert hash(event.when) == hash(twin.when)
+        assert (event.key, event.label) == (twin.key, twin.label)
+        assert (event.key, event.label) == ("tower-of-london", "Tower of London")
+        assert pickle.loads(pickle.dumps(event)) == event
 
 
 # Good and broken lines of every kind, for texts cut at any slice size.
