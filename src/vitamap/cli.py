@@ -42,9 +42,10 @@ and the link is kept. A pipe or a device is written in place.
 The gazetteer is found in precedence order: ``--gazetteer`` flag, then
 the ``VITA_GAZETTEER`` environment variable, then the ``gazetteer``
 hint inside the biography file (relative to that file), then
-``./gazetteer.tsv``. Only the last, implicit fallback may be absent;
-it then resolves to an empty gazetteer so fully inline-located files
-still compile.
+``./gazetteer.tsv``. A given flag is read whatever its text, so an empty
+one names ``.``; an empty ``VITA_GAZETTEER`` counts as unset. Only the
+last, implicit fallback may be absent; it then resolves to an empty
+gazetteer so fully inline-located files still compile.
 
 A plain run, a subcommand's name and then only its whole option strings,
 their values and one positional, is parsed by :func:`_plain_args`
@@ -384,9 +385,9 @@ def _as_path(text: str) -> str:
 def _load_gazetteer_for(
     args: SimpleNamespace, biography: Biography, input_path: str
 ) -> Gazetteer:
-    explicit = args.gazetteer or os.environ.get("VITA_GAZETTEER")
-    if explicit:
-        gaz_path = _as_path(explicit)
+    flag, env = args.gazetteer, os.environ.get("VITA_GAZETTEER")
+    if flag is not None or env:  # an empty flag names "."; an empty VITA_GAZETTEER is unset
+        gaz_path = _as_path(env if flag is None else flag)
     elif biography.gazetteer_hint is not None:
         gaz_path = _as_path(os.path.join(os.path.dirname(input_path), biography.gazetteer_hint))
     else:
@@ -422,7 +423,7 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
         records = (records,)
     try:
         if output is None:
-            if sys.stdout is None:  # fd 1 was closed when Python started
+            if sys.stdout is None or sys.stdout.closed:  # None: fd 1 was closed at start-up
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             if not hasattr(sys.stdout, "buffer"):  # io.StringIO takes text
                 for record in records:

@@ -10,7 +10,7 @@ precision here; rounding happens only in the emitters.
 Every distance comes from one kernel, :func:`_haversines`, over a trig
 table of one ``(lat, lon, cos(lat))`` row per point (:func:`_trig_rows`),
 so each cosine is taken once. One call gives a whole route's legs or a
-matrix row; :func:`haversine_km` and :func:`distances_km` wrap it.
+matrix row; :func:`haversine_km` makes one call for one pair.
 """
 
 from __future__ import annotations
@@ -55,16 +55,10 @@ class BoundingBox:
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km between two normalized points:
-    ``distances_km(a, (b,))[0]``, one pair. Symmetric by construction."""
-    return distances_km(a, (b,))[0]
-
-
-def distances_km(a: GeoPoint, points: Iterable[GeoPoint]) -> list[float]:
-    """Great-circle distance in km from ``a`` to each of ``points``, in
-    order: one :func:`_haversines` call, over the trig rows of ``a`` and
-    of ``points``."""
-    return _haversines([(_trig_rows((a,))[0], _trig_rows(points))])
+    """Great-circle distance in km between two normalized points: one
+    :func:`_haversines` call over their trig rows. Symmetric by construction."""
+    row_a, row_b = _trig_rows((a, b))
+    return _haversines([(row_a, (row_b,))])[0]
 
 
 _TrigRow = tuple[float, float, float]

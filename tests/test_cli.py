@@ -395,6 +395,48 @@ class TestGazetteerPrecedence:
         assert main(["compile", vita(workspace, "ok")]) == 0
         assert "20.000000,10.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--gazetteer", ""], ["--gazetteer="]], ids=["space", "equals"])
+    def test_empty_flag_names_the_working_directory(self, newton_path, monkeypatch, capsys, flag):
+        # The flag is read whatever its text; an empty path is spelled ".".
+        monkeypatch.delenv("VITA_GAZETTEER", raising=False)
+        assert main(["stats", str(newton_path), *flag]) == 2
+        assert capsys.readouterr() == ("", "cannot read gazetteer '.': Is a directory\n")
+
+    def test_empty_env_counts_as_unset(self, newton_path, monkeypatch, capsys):
+        monkeypatch.setenv("VITA_GAZETTEER", "")
+        assert main(["stats", str(newton_path)]) == 0
+        golden = newton_path.parent / "golden" / "newton.stats.txt"
+        assert capsys.readouterr() == (golden.read_text("utf-8"), "")
+
+    # Each gazetteer puts home at its own latitude, so the stats box names the file read.
+    LATS = {"flag.tsv": 11, "env.tsv": 12, "life/hint.tsv": 13, "gazetteer.tsv": 14}
+
+    @pytest.mark.parametrize("hint", [None, "hint.tsv"], ids=["no-hint", "hint"])
+    @pytest.mark.parametrize("env", [None, "", "env.tsv"], ids=["no-env", "empty-env", "env"])
+    @pytest.mark.parametrize("flag", [None, "", "flag.tsv"], ids=["no-flag", "empty-flag", "flag"])
+    def test_which_file_is_read(self, tmp_path, monkeypatch, capsys, flag, env, hint):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "life").mkdir()
+        for name, lat in self.LATS.items():
+            (tmp_path / name).write_text(GAZ.replace("10.0\t20.0", f"{lat}.0\t20.0"), encoding="utf-8")
+        head = f"gazetteer = {hint}\n" if hint else ""
+        source = OK_VITA.replace("gazetteer = gazetteer.tsv\n", head)
+        (tmp_path / "life" / "ok.vita").write_text(source, encoding="utf-8")
+        if env is None:
+            monkeypatch.delenv("VITA_GAZETTEER", raising=False)
+        else:
+            monkeypatch.setenv("VITA_GAZETTEER", env)
+        code = main(["stats", "life/ok.vita", *([] if flag is None else ["--gazetteer", flag])])
+        # A given flag, empty too; else a non-empty VITA_GAZETTEER; else the
+        # hint, next to the input; else ./gazetteer.tsv.
+        read = flag if flag is not None else env or hint and "life/hint.tsv" or "gazetteer.tsv"
+        out, err = capsys.readouterr()
+        if read == "":
+            assert (code, out, err) == (2, "", "cannot read gazetteer '.': Is a directory\n")
+        else:
+            assert (code, err) == (0, "")
+            assert f"box: lat -10.000000..{self.LATS[read]}.000000," in out
+
     def test_validate_help_says_the_gazetteer_is_not_read(self, capsys):
         assert main(["validate", "--help"]) == 0
         assert "accepted but not read" in " ".join(capsys.readouterr().out.split())
@@ -729,6 +771,30 @@ class TestStdoutBytes:
         message = f"cannot write output '<stdout>': {os.strerror(errno.EBADF)}\n"
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "stream", [lambda: io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO],
+        ids=["binary", "text"],
+    )
+    def test_closed_stdout_in_process_is_an_io_error(self, workspace, capsys, stream):
+        stdout = stream()
+        stdout.close()
+        with redirect_stdout(stdout):
+            assert main(["stats", vita(workspace, "ok")]) == 2
+        message = f"cannot write output '<stdout>': {os.strerror(errno.EBADF)}\n"
+        assert capsys.readouterr() == ("", message)
+
+    def test_text_stdout_equals_the_output_file(self, workspace):
+        # A stdout without a buffer, as io.StringIO, is written as text.
+        path = workspace / "accents.vita"
+        path.write_text(OK_VITA.replace("place = home", "place = home\nlabel = Café 東京"), encoding="utf-8")
+        out = workspace / "out"
+        for command in (["compile"], ["itinerary", "--format", "csv"], ["distances", "--matrix"]):
+            assert main([*command, str(path), "-o", str(out)]) == 0
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                assert main([*command, str(path)]) == 0
+            assert stdout.getvalue().encode("utf-8") == out.read_bytes()
+
     def test_closed_pipe_is_an_io_error(self, workspace):
         with subprocess.Popen(
             _cli("compile", long_vita(workspace)),
@@ -889,6 +955,62 @@ def test_module_entry_point(newton_path, tmp_path):
     )
     golden = newton_path.parent / "golden" / "newton.stats.txt"
     assert (result.returncode, result.stdout, result.stderr) == (0, golden.read_text("utf-8"), "")
+
+
+# Each row: a golden's file name, then the command that writes it from the
+# corpus named by the file name's first part.
+CONSOLE_GOLDENS = [
+    ("newton.kml", "compile"),
+    ("newton.geojson", "compile --format geojson"),
+    ("schiaparelli.kml", "compile"),
+    ("schiaparelli.geojson", "compile --format geojson"),
+    ("newton.csv", "itinerary --format csv"),
+    ("newton.txt", "itinerary"),
+    ("newton.txt", "distances"),
+    ("newton.csv", "distances --format csv"),
+    ("newton.stats.txt", "stats"),
+    ("schiaparelli.csv", "itinerary --format csv"),
+    ("schiaparelli.txt", "itinerary"),
+    ("schiaparelli.stats.txt", "stats"),
+    ("schiaparelli.matrix.csv", "distances --matrix"),
+    ("newton.matrix.csv", "distances --matrix"),
+]
+# An input is read a few KiB at a time, from a pipe too: newton.vita with a
+# BOM and CRLF line ends, or with lone CRs, piped to /dev/stdin gives newton.kml.
+CONSOLE_PIPES = {
+    "bom-crlf": lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+    "lone-cr": lambda data: data.replace(b"\n", b"\r"),
+}
+
+
+@pytest.mark.parametrize(
+    "golden,command,pipe",
+    [
+        pytest.param(golden, command, None, id="-".join([golden, *command.replace("--", "").split()]))
+        for golden, command in CONSOLE_GOLDENS
+    ]
+    + [pytest.param("newton.kml", "compile", pipe, id=pipe) for pipe in CONSOLE_PIPES],
+)
+def test_console_run_reproduces_the_golden(newton_path, tmp_path, golden, command, pipe):
+    corpora = newton_path.parent
+    if pipe is None:
+        source = corpora / f"{golden.split('.')[0]}.vita"
+        out = tmp_path / golden
+        done = subprocess.run(
+            _cli(*command.split(), str(source), "-o", str(out)),
+            env=_env(), cwd=tmp_path, capture_output=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        written = out.read_bytes()
+    else:
+        done = subprocess.run(
+            _cli(command, "/dev/stdin", "--gazetteer", str(corpora / "gazetteer.tsv")),
+            input=CONSOLE_PIPES[pipe](newton_path.read_bytes()),
+            env=_env(), cwd=tmp_path, capture_output=True,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        written = done.stdout
+    assert written == (corpora / "golden" / golden).read_bytes()
 
 
 def test_cli_import_skips_urllib_request(tmp_path):
@@ -1247,7 +1369,8 @@ class TestAnyInput:
         located = re.compile(rf"(error|warning) {re.escape(str(path))}:\d+ .+")
         gaz = ["--gazetteer", str(property_dir / "gazetteer.tsv")]
         for command in _ANY_INPUT_COMMANDS:
-            err, out = io.StringIO(), io.StringIO()
+            # Stdout has a buffer, so the records go through it as UTF-8, as in a real run.
+            err, out = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
             # A run outside the test harness prints any Python warning to
             # stderr, unlocated; here it is recorded instead.
             with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
@@ -1255,12 +1378,13 @@ class TestAnyInput:
                 with redirect_stdout(out):
                     code = main([*command, str(path), *gaz])
             assert code in (0, 1, 2)
+            text = out.buffer.getvalue().decode("utf-8")
             if code == 0 and command == ["compile"]:
-                check_kml_placemarks(out.getvalue())
+                check_kml_placemarks(text)
             elif code == 0 and command[0] == "compile":
-                check_rfc7946(out.getvalue())
+                check_rfc7946(text)
             elif code == 0 and command[-1] in ("csv", "--matrix"):
-                check_csv_rows(out.getvalue(), command[-1] == "--matrix")
+                check_csv_rows(text, command[-1] == "--matrix")
             assert [str(w.message) for w in caught] == []
             lines = err.getvalue().split("\n")
             assert lines.pop() == ""
