@@ -23,6 +23,7 @@ from .model import (
     Diagnostic,
     GeoPoint,
     LifeEvent,
+    _unchecked,
     fold_key,
     iter_lines,
     parse_coordinate,
@@ -49,6 +50,31 @@ class GazetteerEntry:
     display_name: str
     point: GeoPoint
     region: str = ""
+
+
+_Entry = _unchecked(GazetteerEntry)
+_Point = _unchecked(GeoPoint)
+
+
+def _loaded_entry(
+    key: str, display_name: str, lat: float, lon: float, region: str
+) -> GazetteerEntry:
+    """The entry of a row that passed load_gazetteer's valid-row test,
+    built with its point from their :func:`vitamap.model._unchecked`
+    twins, without ``__init__`` or ``__post_init__``. That test holds
+    every GeoPoint check, and a longitude it passes is one GeoPoint
+    would not normalize, so both equal the constructed ones."""
+    point = _Point()
+    point.lat = lat
+    point.lon = lon
+    point.__class__ = GeoPoint
+    entry = _Entry()
+    entry.key = key
+    entry.display_name = display_name
+    entry.point = point
+    entry.region = region
+    entry.__class__ = GazetteerEntry
+    return entry
 
 
 class GazetteerParseError(Exception):
@@ -97,7 +123,10 @@ def load_gazetteer(
     lists every malformed row, looked up or not. In the same scan an
     entry is built only for ``keys`` (a set of folded place keys; keys
     the file lacks are ignored), in file order, or for every row when
-    ``keys`` is None. An empty file is a valid empty gazetteer.
+    ``keys`` is None. It is built from the row's own test, by
+    :func:`_loaded_entry`, which runs no GeoPoint or GazetteerEntry
+    check, and equals the constructed entry. An empty file is a valid
+    empty gazetteer.
 
     A valid row passes one test. A row that fails it, and is not blank
     or a comment, gets one finding: the first of, in this order, the
@@ -143,7 +172,7 @@ def load_gazetteer(
             ):
                 first_lines[key] = lineno
                 if keys is None or key in keys:
-                    entries[key] = GazetteerEntry(key, display_name, GeoPoint(lat, lon), region)
+                    entries[key] = _loaded_entry(key, display_name, lat, lon, region)
                 continue
         if line.strip() and not line.startswith("#"):
             diags.append(Diagnostic("error", None, _row_finding(line, first_lines), lineno, 1))

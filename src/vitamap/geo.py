@@ -27,6 +27,7 @@ from .model import (
     GeoPoint,
     ItineraryLeg,
     LifeEvent,
+    _unchecked,
 )
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
@@ -121,6 +122,24 @@ def place_identity(event: LifeEvent, point: GeoPoint) -> str | tuple[float, floa
     return event.key or (point.lat, point.lon)
 
 
+_Leg = _unchecked(ItineraryLeg)
+
+
+def _leg(
+    index: int, event: LifeEvent, point: GeoPoint, leg_km: float, cum_km: float
+) -> ItineraryLeg:
+    """An ItineraryLeg built from its :func:`vitamap.model._unchecked` twin,
+    without ``__init__``; ItineraryLeg has no check to skip."""
+    leg = _Leg()
+    leg.index = index
+    leg.event = event
+    leg.point = point
+    leg.leg_km = leg_km
+    leg.cum_km = cum_km
+    leg.__class__ = ItineraryLeg
+    return leg
+
+
 def build_itinerary(
     biography: Biography, gazetteer: dict[str, GazetteerEntry]
 ) -> list[ItineraryLeg]:
@@ -128,14 +147,15 @@ def build_itinerary(
 
     Leg 0 is the starting point (0 km); leg i carries the great-circle
     distance from leg i-1. UnknownPlace propagates with the offending
-    event id attached.
+    event id attached. Each leg is built by :func:`_leg`, without
+    ``ItineraryLeg.__init__``, and equals the constructed one.
     """
     stops = itinerary_stops(biography, gazetteer)
     rows = _trig_rows(point for _, point in stops)
     legs_km = [0.0, *_haversines(zip(rows, zip(rows[1:])))]
     cum_km = 0.0  # adds the legs left to right, as cum_km += leg_km would
     return [
-        ItineraryLeg(index, event, point, leg_km, cum_km := cum_km + leg_km)
+        _leg(index, event, point, leg_km, cum_km := cum_km + leg_km)
         for index, ((event, point), leg_km) in enumerate(zip(stops, legs_km))
     ]
 

@@ -13,8 +13,8 @@ import io
 import math
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from datetime import date
 from heapq import heappop, heappush
 from itertools import chain
@@ -182,21 +182,32 @@ class DateInterval:
         return self.start <= other.end and other.start <= self.end
 
 
-def _slot_setters(cls: type) -> Iterator[Callable[[object, object], None]]:
-    """The setter of each field's slot, which a frozen class's __setattr__ does not guard."""
-    return (vars(cls)[f.name].__set__ for f in fields(cls))
+def _unchecked(cls: type) -> type:
+    """A plain class whose ``__slots__`` are those of the slotted class
+    ``cls``, read from it: the twin a bulk builder fills.
+
+    A builder makes a twin, stores each field by plain attribute
+    assignment and then sets ``__class__`` to ``cls``, which CPython
+    allows between classes of one layout. The result is a real ``cls``
+    (frozen, no ``__dict__``, comparing, hashing, pickling and copying as
+    a constructed one) for which neither ``__init__`` nor
+    ``__post_init__`` ran, so its builder's caller must have made every
+    check the class makes. A field the builder does not store is unset.
+    """
+    return type(cls.__name__, (), {"__slots__": cls.__slots__})
 
 
-_set_start, _set_end, _set_circa = _slot_setters(DateInterval)
+_Interval = _unchecked(DateInterval)
 
 
 def _parsed_interval(start: date, end: date, circa: bool) -> DateInterval:
-    """The DateInterval of values the parser has checked: its slots set
-    one by one, without ``__post_init__``."""
-    interval = object.__new__(DateInterval)
-    _set_start(interval, start)
-    _set_end(interval, end)
-    _set_circa(interval, circa)
+    """The DateInterval of values the parser has checked, built from its
+    :func:`_unchecked` twin without ``__post_init__``."""
+    interval = _Interval()
+    interval.start = start
+    interval.end = end
+    interval.circa = circa
+    interval.__class__ = DateInterval
     return interval
 
 
@@ -253,8 +264,7 @@ class LifeEvent:
             object.__setattr__(self, "label", self.place_key or self.id)
 
 
-(_set_id, _set_kind, _set_when, _set_place_key, _set_point, _set_label, _set_note,
- _set_attachments, _set_line, _set_key) = _slot_setters(LifeEvent)
+_Event = _unchecked(LifeEvent)
 
 
 def _parsed_event(
@@ -262,19 +272,20 @@ def _parsed_event(
     label: str, note: str, attachments: tuple[str, ...], line: int, key: str | None,
 ) -> LifeEvent:
     """The LifeEvent of values the parser has checked, with its ``key``
-    and ``label`` as ``__post_init__`` would make them: its slots set one
-    by one, without ``__post_init__``."""
-    event = object.__new__(LifeEvent)
-    _set_id(event, id)
-    _set_kind(event, kind)
-    _set_when(event, when)
-    _set_place_key(event, place_key)
-    _set_point(event, point)
-    _set_label(event, label)
-    _set_note(event, note)
-    _set_attachments(event, attachments)
-    _set_line(event, line)
-    _set_key(event, key)
+    and ``label`` as ``__post_init__`` would make them, built from its
+    :func:`_unchecked` twin without ``__post_init__``."""
+    event = _Event()
+    event.id = id
+    event.kind = kind
+    event.when = when
+    event.place_key = place_key
+    event.point = point
+    event.label = label
+    event.note = note
+    event.attachments = attachments
+    event.line = line
+    event.key = key
+    event.__class__ = LifeEvent
     return event
 
 

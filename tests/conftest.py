@@ -98,6 +98,7 @@ def geocoder_stub():
         yield f"http://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from vitamap import cli, emit, gazetteer, model
 from vitamap.cli import COMMANDS, build_parser, main
-from vitamap.model import GeoPoint, split_lines
+from vitamap.model import split_lines
 from vitamap.vita import VitaParseError, parse_biography
 
 from strategies import long_timeline_gazetteer, long_timeline_text, traced_peak
@@ -506,12 +506,13 @@ class TestGazetteerRows:
             encoding="utf-8",
         )
         built = []
+        loaded_entry = gazetteer._loaded_entry
 
-        def counting_point(*args):
+        def counting_entry(*args):
             built.append(args)
-            return GeoPoint(*args)
+            return loaded_entry(*args)
 
-        monkeypatch.setattr(gazetteer, "GeoPoint", counting_point)
+        monkeypatch.setattr(gazetteer, "_loaded_entry", counting_entry)
         assert main(["stats", str(path)]) == 0
         assert "distinct_place_count: 3" in capsys.readouterr().out
         assert len(built) <= 3

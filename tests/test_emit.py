@@ -36,6 +36,7 @@ from vitamap.emit import (
     timeline_bucket,
 )
 from vitamap.geo import (
+    _Leg,
     _haversines,
     build_itinerary,
     haversine_km,
@@ -44,13 +45,23 @@ from vitamap.geo import (
     place_identity,
     route_stats,
 )
-from vitamap.gazetteer import GazetteerEntry, UnknownPlace, load_gazetteer, normalize_key
+from vitamap.gazetteer import (
+    _Entry,
+    _Point,
+    GazetteerEntry,
+    UnknownPlace,
+    load_gazetteer,
+    normalize_key,
+)
 from vitamap.model import (
+    _Event,
+    _Interval,
     Biography,
     CalendarDate,
     DateInterval,
     GeoPoint,
     InvalidBiographyError,
+    ItineraryLeg,
     LifeEvent,
     fold_key,
     from_day_number,
@@ -59,7 +70,14 @@ from vitamap.model import (
 )
 from vitamap.vita import parse_biography, serialize_biography
 
-from strategies import biographies, counting_dates, geo_points, long_timeline_text, traced_peak
+from strategies import (
+    biographies,
+    counting_dates,
+    geo_points,
+    long_timeline_gazetteer,
+    long_timeline_text,
+    traced_peak,
+)
 
 NS = {"kml": KML_NAMESPACE}
 
@@ -643,6 +661,23 @@ def generated_biography(n: int, seed: int = 4) -> Biography:
     return simple_biography(*events)
 
 
+def count_runs(monkeypatch, *methods: tuple[type, str]) -> list[int]:
+    """Wrap each ``(class, name)`` method; the returned one-element list
+    holds how many times any of them ran, and monkeypatch restores them."""
+    runs = [0]
+
+    def counting(method):
+        def counted(*args, **kwargs):
+            runs[0] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    for cls, name in methods:
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    return runs
+
+
 def count_calls(monkeypatch, function, weigh=lambda *args: 1) -> list[int]:
     """Wrap function at every vitamap module that binds it.
 
@@ -837,16 +872,54 @@ class TestComplexityGuards:
     def test_parser_checks_each_event_once(self, monkeypatch):
         # The parser's own located checks are the only ones a parsed event
         # and its interval go through: neither __post_init__ runs.
-        runs = [0]
-        for cls in (LifeEvent, DateInterval):
-            post_init = cls.__post_init__
-
-            def counted(self, post_init=post_init):
-                runs[0] += 1
-                post_init(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        runs = count_runs(
+            monkeypatch, (LifeEvent, "__post_init__"), (DateInterval, "__post_init__")
+        )
         DateInterval(CalendarDate(1900, 1, 1), CalendarDate(1900, 1, 1))
         assert runs[0] == 1
         assert len(parse_biography(long_timeline_text(1000)).events) == 1000
         assert runs[0] == 1
+
+    @pytest.mark.parametrize("step", [1, 40])
+    def test_gazetteer_load_checks_each_row_once(self, monkeypatch, step):
+        # A wanted row is built from the valid-row test, which holds every
+        # GeoPoint check: neither GeoPoint's nor GazetteerEntry's runs.
+        rows = 20_000
+        source = "".join(
+            f"site-{i:05d}\tSite {i}\t{i % 90}.5\t{i % 180}.25\tR\n" for i in range(rows)
+        )
+        keys = {f"site-{i:05d}" for i in range(0, rows, step)}
+        runs = count_runs(monkeypatch, (GeoPoint, "__post_init__"), (GazetteerEntry, "__init__"))
+        GazetteerEntry("k", "K", GeoPoint(1.0, 2.0))
+        assert runs[0] == 2
+        assert len(load_gazetteer(source, keys)) == len(keys)
+        assert runs[0] == 2
+
+    def test_itinerary_builds_no_leg_by_its_constructor(self, monkeypatch):
+        b = parse_biography(long_timeline_text(1000))
+        gaz = load_gazetteer(long_timeline_gazetteer())
+        runs = count_runs(monkeypatch, (ItineraryLeg, "__init__"))
+        ItineraryLeg(0, b.events[0], GeoPoint(1.0, 2.0), 0.0, 0.0)
+        assert runs[0] == 1
+        assert len(build_itinerary(b, gaz)) == 1000
+        assert runs[0] == 1
+
+    def test_each_bulk_builder_sets_every_slot(self):
+        # A field added to a class but not to its builder is an unset slot.
+        twins = {
+            LifeEvent: _Event,
+            DateInterval: _Interval,
+            GazetteerEntry: _Entry,
+            GeoPoint: _Point,
+            ItineraryLeg: _Leg,
+        }
+        for cls, twin in twins.items():
+            assert twin.__slots__ == cls.__slots__
+        b = parse_biography(long_timeline_text(3))
+        gaz = load_gazetteer(long_timeline_gazetteer())
+        event = b.events[1]
+        leg = build_itinerary(b, gaz)[1]
+        built = [event, event.when, gaz[event.key], gaz[event.key].point, leg]
+        assert [type(value) for value in built] == list(twins)
+        for value in built:
+            assert all(hasattr(value, name) for name in type(value).__slots__)

@@ -14,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from vitamap import vita
 from vitamap.emit import emit_geojson, emit_kml
+from vitamap.gazetteer import GazetteerEntry, load_gazetteer
+from vitamap.geo import build_itinerary
 from vitamap.model import (
     Biography,
     CalendarDate,
     DateInterval,
     GeoPoint,
+    ItineraryLeg,
     LifeEvent,
     split_lines,
 )
@@ -29,7 +32,13 @@ from vitamap.vita import (
     serialize_biography,
 )
 
-from strategies import biographies, long_timeline_text, sliced_lines, traced_peak
+from strategies import (
+    biographies,
+    geo_points,
+    long_timeline_text,
+    sliced_lines,
+    traced_peak,
+)
 
 NEWTON_MINIMAL = """\
 [biography]
@@ -837,16 +846,79 @@ class TestBuiltFromChecks:
             DateInterval(CalendarDate(1642, 1, 1), CalendarDate(1642, 12, 31)),
             "Tower of London",
             attachments=("a.jpg",),
+            line=5,
         )
-        for value in (event, event.when):
-            assert not hasattr(value, "__dict__")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, dataclasses.fields(value)[0].name, None)
-        assert event == twin and hash(event) == hash(twin)
-        assert hash(event.when) == hash(twin.when)
+        assert_same_value(event, twin)
+        assert_same_value(event.when, twin.when)
         assert (event.key, event.label) == (twin.key, twin.label)
         assert (event.key, event.label) == ("tower-of-london", "Tower of London")
-        assert pickle.loads(pickle.dumps(event)) == event
+
+
+def assert_same_value(built, constructed):
+    """A value a bulk builder made is a frozen, slotted value of its class,
+    like the one its public constructor makes of the same fields: equal,
+    with the same hash and repr (which shows -0.0 and each float's exact
+    value), and it survives a pickle round trip."""
+    cls = type(constructed)
+    assert type(built) is cls
+    assert not hasattr(built, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, dataclasses.fields(cls)[0].name, None)
+    assert built == constructed
+    assert (hash(built), repr(built)) == (hash(constructed), repr(constructed))
+    again = pickle.loads(pickle.dumps(built))
+    assert (type(again), again, repr(again)) == (cls, built, repr(built))
+
+
+# Coordinate texts at the bounds and in every form float() takes.
+_LATITUDE_TEXTS = st.sampled_from(
+    ["90", "-90", "-0", "-0.0", "0", "1e1", "1E1", " 45 ", "+45", ".5", "5.", "-90.000", "1e-320"]
+) | st.floats(-90.0, 90.0).map(repr)
+_LONGITUDE_TEXTS = st.sampled_from(
+    ["180", "180.0", "-179.999999", "-0", "-0.0", "1e1", " 45 ", "+45", ".5", "1e-320"]
+) | st.floats(-180.0, 180.0, exclude_min=True).map(repr)
+_CHARACTERS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+_NAMES, _REGIONS = st.text(_CHARACTERS, min_size=1), st.text(_CHARACTERS)
+
+
+@st.composite
+def _gazetteer_rows(draw) -> list[tuple[str, str, str, str, str]]:
+    """Valid gazetteer rows with distinct keys, as their five cells."""
+    return [
+        (f"k{i}", draw(_NAMES), draw(_LATITUDE_TEXTS), draw(_LONGITUDE_TEXTS), draw(_REGIONS))
+        for i in range(draw(st.integers(1, 8)))
+    ]
+
+
+class TestBuiltInBulk:
+    """The gazetteer loader and build_itinerary build their values without
+    the public constructors, from checks already made: each equals, to the
+    bit, what the constructor builds from the same values."""
+
+    @settings(max_examples=300)
+    @given(_gazetteer_rows(), st.booleans())
+    def test_loaded_entries_are_the_constructed_ones(self, rows, keyed):
+        source = "".join("\t".join(row) + "\n" for row in rows)
+        keys = {key for key, *_ in rows[::2]} if keyed else None
+        entries = load_gazetteer(source, keys)
+        assert list(entries) == [key for key, *_ in rows if keys is None or key in keys]
+        for key, name, lat, lon, region in rows:
+            if key in entries:
+                constructed = GazetteerEntry(key, name, GeoPoint(float(lat), float(lon)), region)
+                assert_same_value(entries[key], constructed)
+                assert_same_value(entries[key].point, constructed.point)
+
+    @given(biographies(), st.lists(geo_points, min_size=1))
+    def test_legs_are_the_constructed_ones(self, biography, points):
+        keys = sorted({e.key for e in biography.events if e.key is not None})
+        gazetteer = {
+            key: GazetteerEntry(key, key, points[i % len(points)]) for i, key in enumerate(keys)
+        }
+        legs = build_itinerary(biography, gazetteer)
+        assert len(legs) == len(biography.events)
+        for leg in legs:
+            constructed = ItineraryLeg(leg.index, leg.event, leg.point, leg.leg_km, leg.cum_km)
+            assert_same_value(leg, constructed)
 
 
 # Good and broken lines of every kind, for texts cut at any slice size.
