@@ -439,7 +439,7 @@ def _write_output(records: Iterable[str], output: str | None) -> None:
         except FileNotFoundError:  # a dangling symlink too: its file is new
             mode = None  # a new one gets 0o666 less the umask, from os.open
         except ValueError as exc:  # a NUL byte in the path, which os.open would refuse too
-            raise _CliFailure(EXIT_USAGE, f"cannot write output '{output}': {exc}")
+            raise OSError(errno.EINVAL, str(exc)) from exc
         if mode is not None and not stat.S_ISREG(mode):  # a pipe or a device: in place
             with open(output, "wb", buffering=_SLICE) as handle:
                 _write_utf8(records, handle)

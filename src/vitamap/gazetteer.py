@@ -260,12 +260,14 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
     """Ask a remote geocoder for a suggested gazetteer entry.
 
     Issues one GET ``endpoint?q=<url-encoded name>`` and expects a JSON
-    object with exactly the fields key, display_name, lat and lon. The
+    object with exactly the fields key, display_name, lat and lon; any
+    failure of the request or the reply raises GeocoderError. The
     result is returned for display; it is never merged into a loaded
     gazetteer. Never called unless the caller explicitly enabled it.
     """
     # Imported here: only ``geocode`` needs them, and urllib.request alone
     # is a few dozen modules on every other command's start-up.
+    import http.client
     import json
     import urllib.error
     import urllib.parse
@@ -279,12 +281,16 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
         if exc.code == 404:
             raise GeocoderError("place not found at endpoint") from exc
         raise GeocoderError(f"geocoder returned status {exc.code}") from exc
-    except urllib.error.URLError as exc:
-        raise GeocoderError(f"geocoder unreachable: {exc.reason}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # URLError and a timeout are OSErrors, an unknown scheme or a bad
+        # host a ValueError, and a reply cut short an HTTPException.
+        raise GeocoderError(f"geocoder unreachable: {getattr(exc, 'reason', exc)}") from exc
 
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # A bad byte, bad JSON and an int past the digit limit are
+        # ValueErrors; arrays nested too deep are a RecursionError.
         raise GeocoderError("malformed geocoder response: not a JSON object") from exc
     if not isinstance(payload, dict) or set(payload) != {"key", "display_name", "lat", "lon"}:
         raise GeocoderError(
@@ -302,6 +308,6 @@ def remote_resolve(name: str, endpoint: str, timeout: float = 10.0) -> Gazetteer
             raise GeocoderError("malformed geocoder response: lat/lon must be numbers")
     try:
         point = GeoPoint(float(lat), float(lon))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int too large for a float
         raise GeocoderError(f"malformed geocoder response: {exc}") from exc
     return GazetteerEntry(key=key, display_name=display_name, point=point, region="")

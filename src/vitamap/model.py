@@ -39,17 +39,13 @@ def fold_key(name: str) -> str:
 
     Lowercases (non-ASCII letters included), collapses runs of
     whitespace and underscores into single hyphens and strips hyphens
-    from the ends. Idempotent. :func:`vitamap.gazetteer.normalize_key`
-    is the same fold, raising when nothing is left.
+    from the ends. Idempotent. A name that is already its own key is
+    returned itself: one string, not two equal ones.
+    :func:`vitamap.gazetteer.normalize_key` is the same fold, raising
+    when nothing is left.
     """
-    return _SEPARATOR_RUN_RE.sub("-", name.lower()).strip("-")
-
-
-def _key_of(place_key: str) -> str:
-    """The :func:`fold_key` of a place key. A canonical place key is its
-    own key: one string, not two equal ones."""
-    key = fold_key(place_key)
-    return place_key if key == place_key else key
+    key = _SEPARATOR_RUN_RE.sub("-", name.lower()).strip("-")
+    return name if key == name else key
 
 
 def split_lines(text: str) -> list[str]:
@@ -251,7 +247,7 @@ class LifeEvent:
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.place_key is None and self.point is None:
             raise ValueError(f"event {self.id!r} needs a place key or an inline point")
-        key = None if self.place_key is None else _key_of(self.place_key)
+        key = None if self.place_key is None else fold_key(self.place_key)
         if key == "":
             raise ValueError(f"place_key normalizes to empty key (use None): {self.place_key!r}")
         object.__setattr__(self, "key", key)

@@ -40,10 +40,10 @@ from .model import (
     GeoPoint,
     LifeEvent,
     ParseDiagnostic,
-    _key_of,
     _parsed_event,
     _parsed_interval,
     days_in_month,
+    fold_key,
     is_token,
     iter_lines,
     parse_coordinate,
@@ -302,7 +302,7 @@ def _finish_event(
     text = key = None
     if place is not None:  # one fold per place text
         if place[0] not in places:
-            places[place[0]] = (place[0], _key_of(place[0]))
+            places[place[0]] = (place[0], fold_key(place[0]))
         text, key = places[place[0]]
     if place is None and point is None and before == len(diags):
         diags.append(ParseDiagnostic(header_line, 1, "event needs a place or inline lat/lon"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -31,6 +32,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for criterion, outcome in _ACCEPTANCE_RESULTS:
         terminalreporter.write_line(f"{outcome}  {criterion}")
+
+
+# Seconds the /stall route waits after its headers before it closes the
+# reply unwritten; a test that asks it gives remote_resolve a shorter timeout.
+STALL_SECONDS = 0.5
+
+# Bodies sent as they stand, none of them a JSON object of four fields:
+# text that is not JSON; a lat of 1e400, past a float; a lat of 5 000
+# digits, past the interpreter's int digit limit; and arrays nested past
+# the recursion limit.
+_RAW_BODIES = {
+    "/not-json": b"<html>nope</html>",
+    "/huge-lat": b'{"key": "x", "display_name": "X", "lat": 1' + b"0" * 400 + b', "lon": 1}',
+    "/long-lat": b'{"key": "x", "display_name": "X", "lat": ' + b"1" * 5000 + b', "lon": 1}',
+    "/deep": b"[" * 100_000,
+}
+
+# Endpoints whose request or reply fails, each with the message that
+# remote_resolve gives; one with no {stub} in it is asked of no server.
+# A lat past the int digit limit fails the JSON decode; where the
+# interpreter has no such limit, it fails float() instead.
+GEOCODER_ESCAPES = {
+    "unknown-scheme": ("nonsense", "^geocoder unreachable: unknown url type: "),
+    "bad-ipv6-host": ("http://[::1", "^geocoder unreachable: Invalid IPv6 URL$"),
+    "short-reply": ("{stub}/short", r"^geocoder unreachable: IncompleteRead\("),
+    "huge-lat": ("{stub}/huge-lat", "^malformed geocoder response: int too large to convert "),
+    "long-lat": ("{stub}/long-lat", "^malformed geocoder response: "),
+    "deep-json": ("{stub}/deep", "^malformed geocoder response: not a JSON object$"),
+}
 
 
 class _GeocoderHandler(BaseHTTPRequestHandler):
@@ -67,12 +97,22 @@ class _GeocoderHandler(BaseHTTPRequestHandler):
                 200,
                 {"key": "x", "display_name": "X", "lat": 1.0, "lon": 1.0, "bonus": 1},
             )
-        elif route == "/not-json":
-            body = b"<html>nope</html>"
+        elif route in _RAW_BODIES:
+            body = _RAW_BODIES[route]
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif route == "/short":  # a reply cut short of its Content-Length
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"key": "x"')
+        elif route == "/stall":  # headers, then nothing until the timeout is past
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            time.sleep(STALL_SECONDS)
         else:
             self.send_response(404)
             self.end_headers()

@@ -32,6 +32,7 @@ from vitamap.cli import COMMANDS, build_parser, main
 from vitamap.model import split_lines
 from vitamap.vita import VitaParseError, parse_biography
 
+from conftest import GEOCODER_ESCAPES
 from strategies import long_timeline_gazetteer, long_timeline_text, traced_peak
 
 OK_VITA = """\
@@ -122,6 +123,18 @@ class TestExitCodeMatrix:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "endpoint", [e for e, _ in GEOCODER_ESCAPES.values()], ids=GEOCODER_ESCAPES.keys()
+    )
+    def test_geocoder_failure_is_one_error_line(self, geocoder_stub, tmp_path, endpoint):
+        done = subprocess.run(
+            _cli("geocode", "Giza", "--endpoint", endpoint.format(stub=geocoder_stub)),
+            env=_env(), cwd=tmp_path, capture_output=True, text=True, encoding="utf-8",
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
 
 class TestStreamDiscipline:
@@ -951,6 +964,7 @@ def test_module_entry_point(newton_path, tmp_path):
         [sys.executable, "-m", "vitamap", "stats", str(newton_path)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
         cwd=tmp_path,
     )
@@ -1021,6 +1035,7 @@ def test_cli_import_skips_urllib_request(tmp_path):
         [sys.executable, "-c", "import sys, vitamap.cli; print('urllib.request' in sys.modules)"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
         cwd=tmp_path,
     )
@@ -1053,6 +1068,7 @@ def test_cli_import_skips_calendar_and_locale(tmp_path):
         [sys.executable, "-S", "-c", code, str(REPO / "src"), str(corpus)],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
@@ -1249,7 +1265,12 @@ class TestSelectiveParser:
         # Without argv, main reads sys.argv; the error's usage is --help's.
         def run(*argv: str) -> subprocess.CompletedProcess:
             return subprocess.run(
-                _cli(*argv), capture_output=True, text=True, env=_env(COLUMNS="80"), cwd=tmp_path
+                _cli(*argv),
+                capture_output=True,
+                text=True,
+                encoding="utf-8",
+                env=_env(COLUMNS="80"),
+                cwd=tmp_path,
             )
 
         error = run("stats", str(newton_path), "extra")

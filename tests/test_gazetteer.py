@@ -31,6 +31,7 @@ from vitamap.model import (
     split_lines,
 )
 
+from conftest import GEOCODER_ESCAPES, STALL_SECONDS
 from strategies import sliced_lines, traced_peak
 
 GIZA_ROW = "giza\tGiza\t29.9773\t31.1325\tEgypt"
@@ -541,3 +542,16 @@ class TestRemoteResolve:
     def test_unreachable(self):
         with pytest.raises(GeocoderError, match="unreachable"):
             remote_resolve("X", "http://127.0.0.1:9", timeout=0.5)
+
+    # Every failure of the request or the reply is a GeocoderError.
+    @pytest.mark.parametrize(
+        "endpoint,message", GEOCODER_ESCAPES.values(), ids=GEOCODER_ESCAPES.keys()
+    )
+    def test_every_failure_is_a_geocoder_error(self, geocoder_stub, endpoint, message):
+        with pytest.raises(GeocoderError, match=message):
+            remote_resolve("X", endpoint.format(stub=geocoder_stub))
+
+    def test_reply_stalled_past_the_timeout(self, geocoder_stub):
+        with pytest.raises(GeocoderError, match="^geocoder unreachable: timed out$") as raised:
+            remote_resolve("X", f"{geocoder_stub}/stall", timeout=STALL_SECONDS / 2)
+        assert isinstance(raised.value.__cause__, TimeoutError)

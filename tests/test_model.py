@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vitamap import model
-from vitamap.gazetteer import GazetteerEntry
+from vitamap.gazetteer import GazetteerEntry, normalize_key
 from vitamap.model import (
     Biography,
     CalendarDate,
@@ -387,6 +387,21 @@ class TestEventAndBiography:
         assert fold_key("  Deir_el  Medina ") == "deir-el-medina"
         assert fold_key("--Ägypten--") == "ägypten"
         assert fold_key(" _-_ ") == ""
+
+    def test_canonical_name_is_its_own_key(self):
+        # One string, not two equal ones, wherever a key is folded. The name
+        # is built at run time, so no interned constant can stand in for it.
+        name = "".join(["gi", "za"])
+        assert fold_key(name) is name
+        assert normalize_key(name) is name
+        assert event("a", place_key=name).key is name
+        (parsed,) = parse_biography(
+            f"[biography]\ntitle = T\nid = t\n\n[event]\nid = a\nkind = other\n"
+            f"start = 1900\nplace = {name}\n"
+        ).events
+        assert parsed.key is parsed.place_key
+        other = "Giza"
+        assert fold_key(other) == name and fold_key(other) is not other
 
     def test_absolute_attachment_rejected(self):
         with pytest.raises(ValueError, match="relative"):
